@@ -815,7 +815,7 @@ def build_parser() -> argparse.ArgumentParser:
                             "build a baseline population in the registry")
         p.add_argument("--registry", default=None, metavar="PATH",
                        help="record this run in the persistent run registry "
-                            "at PATH (.jsonl = append log, else SQLite)")
+                            "at PATH (a JSONL append log)")
 
     run_p = sub.add_parser("run", help="run one benchmark variant")
     common(run_p)
@@ -984,7 +984,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def runs_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--registry", required=True, metavar="PATH",
-                       help="run registry file (.jsonl or SQLite)")
+                       help="run registry file (a JSONL append log)")
         p.set_defaults(func=cmd_runs)
 
     list_p = runs_sub.add_parser("list", help="list recorded runs")

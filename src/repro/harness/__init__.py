@@ -9,7 +9,6 @@ from repro.harness.checkpoint import (
     SweepCheckpoint,
     atomic_write_json,
     flush_on_signals,
-    run_cells,
 )
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
@@ -20,7 +19,6 @@ from repro.harness.experiments import (
     run_one,
     run_sweep_cell,
     run_sweep_resumable,
-    sweep_cells,
 )
 from repro.harness.parallel import (
     run_cells_parallel,
@@ -68,7 +66,6 @@ __all__ = [
     "run_cpu_ratio_sweep",
     "run_sweep_cell",
     "run_sweep_resumable",
-    "sweep_cells",
     "sweep_parallel_cells",
     "SweepCheckpoint",
     "Supervisor",
@@ -76,7 +73,6 @@ __all__ = [
     "SupervisorOutcome",
     "atomic_write_json",
     "flush_on_signals",
-    "run_cells",
     "run_cells_parallel",
     "OracleCell",
     "OracleReport",

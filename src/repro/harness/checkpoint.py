@@ -8,10 +8,11 @@ work already done.  This module makes that survivable:
   atomically (write a temp file in the same directory, then ``os.replace``
   it over the old checkpoint) so a crash mid-write never corrupts the
   previous state;
-* a restarted sweep passed ``resume=True`` loads the checkpoint, skips
-  every completed cell, and recomputes only the missing ones — the
-  reassembled results are identical to an uninterrupted run because every
-  cell is seeded independently;
+* a restarted sweep passed ``resume=True`` (see
+  :func:`repro.harness.parallel.run_cells_parallel`) loads the
+  checkpoint, skips every completed cell, and recomputes only the
+  missing ones — the reassembled results are identical to an
+  uninterrupted run because every cell is seeded independently;
 * version and identity mismatches (a checkpoint from a different sweep or
   an incompatible format) raise a typed
   :class:`~repro.errors.CheckpointError` instead of silently mixing
@@ -22,66 +23,24 @@ from __future__ import annotations
 
 import contextlib
 import json
-import os
 import signal
-import tempfile
 import threading
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Tuple
 
 from repro.errors import CheckpointError
-from repro.harness.results import RunResult
+from repro.registry.store import atomic_write_text
 
 #: Bump when the checkpoint layout changes incompatibly.
 CHECKPOINT_VERSION = 1
 
 
-def _fsync_directory(directory: str) -> None:
-    """Flush a directory's metadata so a just-renamed entry is durable.
-
-    ``os.replace`` makes the rename atomic with respect to readers, but a
-    power-loss-style kill can still roll it back unless the containing
-    directory is fsynced too.  Best-effort: filesystems that reject
-    directory fsync (some network mounts) keep the old guarantee.
-    """
-    flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
-    try:
-        dir_fd = os.open(directory, flags)
-    except OSError:
-        return
-    try:
-        os.fsync(dir_fd)
-    except OSError:
-        pass
-    finally:
-        os.close(dir_fd)
-
-
 def atomic_write_json(path: str, obj: object) -> None:
     """Write ``obj`` as JSON to ``path`` atomically and durably.
 
-    The temp file lives in the target's directory so ``os.replace`` is a
-    same-filesystem rename: readers observe either the old complete file
-    or the new complete file, never a torn write.  After the rename the
-    containing directory is fsynced, so the new file survives a
-    power-loss-style kill as well as a process kill.
+    A JSON wrapper over :func:`repro.registry.store.atomic_write_text`:
+    readers see the old or the new complete file, never a torn write.
     """
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp_path = tempfile.mkstemp(
-        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
-    )
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            json.dump(obj, handle, indent=2, sort_keys=True)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, path)
-        _fsync_directory(directory)
-    except BaseException:
-        try:
-            os.unlink(tmp_path)
-        except OSError:
-            pass
-        raise
+    atomic_write_text(path, json.dumps(obj, indent=2, sort_keys=True))
 
 
 @contextlib.contextmanager
@@ -216,17 +175,8 @@ class SweepCheckpoint:
     def keys(self) -> List[str]:
         return sorted(self._cells)
 
-    def record(self, key: str, result: RunResult) -> None:
-        """Store one finished cell and flush the checkpoint to disk."""
-        self.record_payload(key, result.to_jsonable())
-
     def record_payload(self, key: str, payload: Dict[str, object]) -> None:
-        """Store one finished cell's raw JSON payload and flush.
-
-        The parallel engine moves results between processes as jsonable
-        dicts; recording them verbatim keeps the checkpoint byte-identical
-        to one written by the serial path for the same cells.
-        """
+        """Store one finished cell's raw JSON payload and flush."""
         self._cells[key] = payload
         self._quarantined.pop(key, None)
         self.flush()
@@ -237,15 +187,6 @@ class SweepCheckpoint:
             return self._cells[key]
         except KeyError:
             raise CheckpointError(f"checkpoint has no cell {key!r}") from None
-
-    def result(self, key: str) -> RunResult:
-        data = self.payload(key)
-        try:
-            return RunResult.from_jsonable(data)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise CheckpointError(
-                f"checkpoint cell {key!r} is malformed: {exc}"
-            ) from exc
 
     # -- quarantine ------------------------------------------------------------
 
@@ -280,65 +221,3 @@ class SweepCheckpoint:
                 adopted += 1
         return adopted
 
-
-def run_cells(
-    cells: List[Tuple[str, Callable[[], RunResult]]],
-    checkpoint_path: Optional[str] = None,
-    identity: str = "sweep",
-    resume: bool = False,
-    progress: Optional[Callable[[str, bool], None]] = None,
-    registry_path: Optional[str] = None,
-    registry_meta: Optional[Dict[str, object]] = None,
-) -> Dict[str, RunResult]:
-    """Run a list of (key, thunk) cells with optional checkpointing.
-
-    Without ``checkpoint_path`` this is a plain loop.  With it, each
-    finished cell is checkpointed atomically; with ``resume`` also set,
-    previously checkpointed cells are restored instead of re-run.
-    ``progress`` (if given) is called with ``(key, was_resumed)`` per cell.
-    While a checkpoint is active, SIGINT/SIGTERM flush it before the
-    process exits, so an interrupted sweep resumes cleanly.
-
-    With ``registry_path`` set, every cell result (fresh and restored
-    alike — recording is idempotent) is also folded into the persistent
-    run registry under the ``registry_meta`` record context, matching
-    the parallel engine's registry semantics byte for byte.
-    """
-    checkpoint: Optional[SweepCheckpoint] = None
-    if checkpoint_path is not None:
-        if resume and os.path.exists(checkpoint_path):
-            checkpoint = SweepCheckpoint.load(checkpoint_path, identity)
-        else:
-            # Fresh start (also the resume path when no checkpoint exists
-            # yet: there is nothing to restore, so begin from scratch).
-            checkpoint = SweepCheckpoint(checkpoint_path, identity)
-            checkpoint.flush()
-
-    guard = (
-        flush_on_signals(checkpoint.flush)
-        if checkpoint is not None
-        else contextlib.nullcontext()
-    )
-    results: Dict[str, RunResult] = {}
-    with guard:
-        for key, thunk in cells:
-            if checkpoint is not None and key in checkpoint:
-                results[key] = checkpoint.result(key)
-                if progress is not None:
-                    progress(key, True)
-                continue
-            result = thunk()
-            results[key] = result
-            if checkpoint is not None:
-                checkpoint.record(key, result)
-            if progress is not None:
-                progress(key, False)
-    if registry_path is not None:
-        from repro.harness.parallel import record_results_in_registry
-
-        record_results_in_registry(
-            registry_path,
-            {key: result.to_jsonable() for key, result in results.items()},
-            registry_meta,
-        )
-    return results

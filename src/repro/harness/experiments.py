@@ -3,9 +3,9 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Optional, Tuple, Union
 
-from repro.harness.checkpoint import run_cells
+from repro.errors import CheckpointError
 from repro.harness.config import APPS, ExperimentConfig, Variant
 from repro.harness.results import RunResult
 from repro.harness.runner import run_experiment
@@ -156,9 +156,6 @@ def run_degraded_sweep(
     return results
 
 
-#: One independently runnable sweep cell: (key, thunk).
-Cell = Tuple[str, Callable[[], RunResult]]
-
 #: One sweep-axis value: numeric (disks/cache/ratio) or a fault-profile
 #: name (degraded).
 SweepPoint = Union[float, str]
@@ -177,27 +174,6 @@ def point_label(point: SweepPoint) -> str:
     if isinstance(point, str):
         return point
     return f"{point:g}"
-
-
-def sweep_cells(kind: str, workload_scale: float = 1.0) -> List[Cell]:
-    """The independent cells of one sweep, for checkpointed execution.
-
-    Each cell runs one (sweep point, app, variant) triple and is seeded
-    independently, so any subset can be re-run and merged with previously
-    checkpointed cells without changing a single result.
-    """
-    if kind not in SWEEP_POINTS:
-        raise ValueError(
-            f"unknown sweep kind {kind!r}; expected one of {sorted(SWEEP_POINTS)}"
-        )
-    cells: List[Cell] = []
-    for point in SWEEP_POINTS[kind]:
-        for app in APPS:
-            for variant in tuple(Variant):
-                key = f"{kind}={point_label(point)}/{app}/{variant.value}"
-                cells.append((key, _cell_thunk(kind, point, app, variant,
-                                               workload_scale)))
-    return cells
 
 
 def run_sweep_cell(
@@ -245,21 +221,6 @@ def run_sweep_cell(
                      workload_scale=workload_scale)
     result.cycles = int(result.cycles / float(point))
     return result
-
-
-def _cell_thunk(
-    kind: str,
-    point: SweepPoint,
-    app: str,
-    variant: Variant,
-    workload_scale: float,
-) -> Callable[[], RunResult]:
-    """One cell's runner for the serial checkpointed path."""
-
-    def run() -> RunResult:
-        return run_sweep_cell(kind, point, app, variant, workload_scale)
-
-    return run
 
 
 def sweep_registry_meta(
@@ -315,60 +276,58 @@ def run_sweep_resumable(
 ) -> Dict[SweepPoint, Matrix]:
     """Checkpointed equivalent of the batch sweep drivers.
 
-    Runs cell by cell, checkpointing each finished cell atomically; with
-    ``resume`` set, completed cells are restored from the checkpoint.  The
-    reassembled nested mapping is identical to the batch drivers' output.
+    Runs the sweep's cells through
+    :func:`~repro.harness.parallel.run_cells_parallel`, checkpointing each
+    finished cell atomically; with ``resume`` set, completed cells are
+    restored from the checkpoint.  The reassembled nested mapping is
+    identical to the batch drivers' output.
 
     With ``jobs > 1`` the cells are sharded across the supervised worker
-    pool (see :mod:`repro.harness.parallel`): crashed and hung cells are
-    rescheduled, poisoned cells are quarantined, and per-worker partial
-    checkpoints make even a SIGKILL of this process resumable.  A
-    quarantined cell raises :class:`~repro.errors.QuarantinedCell` *after*
-    every other cell has completed and been checkpointed — the sweep's
-    work is preserved, only the assembly of the full matrix fails.
-    ``stats_out`` (if given) is filled with the supervisor's counters.
+    pool: crashed and hung cells are rescheduled, poisoned cells are
+    quarantined, and per-worker partial checkpoints make even a SIGKILL
+    of this process resumable.  A quarantined cell raises
+    :class:`~repro.errors.QuarantinedCell` *after* every other cell has
+    completed and been checkpointed — the sweep's work is preserved, only
+    the assembly of the full matrix fails.  ``stats_out`` (if given) is
+    filled with the supervisor's counters of a ``jobs > 1`` run.
 
     With ``registry_path`` set, a ``sweep`` group record is written to
     the persistent run registry and every cell is recorded as a
     ``sweep-cell`` child of it (lineage for ``repro runs lineage``).
     """
+    from repro.harness.parallel import (
+        require_complete,
+        run_cells_parallel,
+        sweep_parallel_cells,
+    )
+
     identity = f"sweep:{kind}:scale={workload_scale:g}"
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
         registry_meta = sweep_registry_meta(registry_path, kind,
                                             workload_scale, identity)
-    if jobs > 1:
-        from repro.harness.parallel import (
-            require_complete,
-            run_cells_parallel,
-            sweep_parallel_cells,
-        )
-        outcome = run_cells_parallel(
-            sweep_parallel_cells(kind, workload_scale),
-            jobs=jobs,
-            checkpoint_path=checkpoint_path,
-            identity=identity,
-            resume=resume,
-            progress=progress,
-            config=supervisor_config,
-            registry_path=registry_path,
-            registry_meta=registry_meta,
-        )
-        if stats_out is not None:
-            stats_out.update(outcome.stats.to_jsonable())
-        require_complete(outcome, what=f"{kind} sweep")
-        flat = {key: RunResult.from_jsonable(payload)
-                for key, payload in outcome.results.items()}
-    else:
-        flat = run_cells(
-            sweep_cells(kind, workload_scale),
-            checkpoint_path=checkpoint_path,
-            identity=identity,
-            resume=resume,
-            progress=progress,
-            registry_path=registry_path,
-            registry_meta=registry_meta,
-        )
+    outcome = run_cells_parallel(
+        sweep_parallel_cells(kind, workload_scale),
+        jobs=jobs,
+        checkpoint_path=checkpoint_path,
+        identity=identity,
+        resume=resume,
+        progress=progress,
+        config=supervisor_config,  # type: ignore[arg-type]
+        registry_path=registry_path,
+        registry_meta=registry_meta,
+    )
+    if stats_out is not None and jobs > 1:
+        stats_out.update(outcome.stats.to_jsonable())
+    require_complete(outcome, what=f"{kind} sweep")
+    flat: Dict[str, RunResult] = {}
+    for key, payload in outcome.results.items():
+        try:
+            flat[key] = RunResult.from_jsonable(payload)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(
+                f"checkpoint cell {key!r} is malformed: {exc}"
+            ) from exc
     results: Dict[SweepPoint, Matrix] = {}
     for point in SWEEP_POINTS[kind]:
         matrix: Matrix = {}

@@ -81,7 +81,7 @@ class OracleCell:
 
     @classmethod
     def from_payload(cls, payload: Dict[str, object]) -> "OracleCell":
-        """Rebuild a cell from a parallel worker's JSON payload."""
+        """Rebuild a cell from its :meth:`to_payload` form."""
         cell = cls(
             app=str(payload["app"]),
             profile=(str(payload["profile"])
@@ -96,11 +96,9 @@ class OracleCell:
         return cell
 
     def to_payload(self) -> Dict[str, object]:
-        """Full serialized form: the parallel result-pipe payload.
+        """Full serialized form: the cell engine's result payload.
 
-        Also the shape the run registry records — the serial and
-        parallel oracle paths both feed this to the recorder, which is
-        what keeps their registries byte-identical.
+        Also the shape the run registry records.
         """
         payload: Dict[str, object] = {
             "app": self.app,
@@ -261,62 +259,64 @@ def run_oracle(
 ) -> OracleReport:
     """Differential oracle over an app x chaos-profile grid.
 
-    With ``strict`` set, the first divergence raises
-    :class:`OracleMismatch`; otherwise every cell is collected into the
-    report for the caller to inspect.  ``trace_dir`` enables per-cell
-    divergence trace dumps (see :func:`run_oracle_cell`).
+    The (app, profile) cells run through
+    :func:`~repro.harness.parallel.run_cells_parallel`: in-process for
+    ``jobs <= 1``, under the supervised pool otherwise.  Each cell is the
+    same two same-seed runs either way, so the report does not depend on
+    ``jobs``.  A cell the supervisor had to quarantine (repeated
+    crash/hang) is reported as a failed cell with its failure record — an
+    oracle run never silently drops a cell.
 
-    With ``jobs > 1`` the (app, profile) cells run under the supervised
-    parallel pool; each cell is still the same two same-seed runs, so the
-    report is identical to a serial one.  A cell the supervisor had to
-    quarantine (repeated crash/hang) is reported as a failed cell with
-    its failure record — an oracle run never silently drops a cell.
+    With ``strict`` set, every cell still runs, then the first divergence
+    in grid order raises :class:`OracleMismatch`; otherwise every cell is
+    collected into the report for the caller to inspect.  ``trace_dir``
+    enables per-cell divergence trace dumps (see :func:`run_oracle_cell`).
 
     With ``registry_path`` set, an ``oracle`` group record plus one
     ``oracle-cell`` record per cell (with its two ``oracle-variant``
-    children) land in the persistent run registry, identically for the
-    serial and parallel paths.
+    children) land in the persistent run registry.
     """
+    from repro.harness.parallel import (
+        run_cells_parallel,
+        run_oracle_cell_payload,
+    )
+
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
         registry_meta = _oracle_registry_meta(
             registry_path, apps, profiles, workload_scale, fault_seed,
         )
-    if jobs > 1:
-        return _run_oracle_parallel(
-            apps, profiles, workload_scale, fault_seed, strict,
-            analysis_optimize, trace_dir, jobs, system,
-            registry_path, registry_meta,
-        )
-    report = OracleReport()
-    payloads: Dict[str, Dict[str, object]] = {}
-    mismatch: Optional[OracleMismatch] = None
+
+    cells = []
+    keys: List[Tuple[str, str, Optional[str]]] = []
     for app in apps:
         for profile in profiles:
-            cell = run_oracle_cell(
-                app, profile, workload_scale=workload_scale,
-                fault_seed=fault_seed, system=system,
-                analysis_optimize=analysis_optimize,
-                trace_dir=trace_dir,
-            )
-            report.cells.append(cell)
-            payloads[f"oracle/{app}/{profile or 'fault-free'}"] = (
-                cell.to_payload()
-            )
-            if strict and not cell.passed and mismatch is None:
-                mismatch = OracleMismatch(
-                    f"{app} under {cell.profile_name}: {cell.detail}"
-                )
-            if mismatch is not None:
-                break
-        if mismatch is not None:
-            break
-    if registry_path is not None and payloads:
-        from repro.harness.parallel import record_results_in_registry
+            key = f"oracle/{app}/{profile or 'fault-free'}"
+            keys.append((key, app, profile))
+            cells.append((key, run_oracle_cell_payload,
+                          (app, profile, workload_scale, fault_seed,
+                           analysis_optimize, trace_dir, system)))
+    outcome = run_cells_parallel(cells, jobs=jobs, identity="oracle",
+                                 registry_path=registry_path,
+                                 registry_meta=registry_meta)
 
-        record_results_in_registry(registry_path, payloads, registry_meta)
-    if mismatch is not None:
-        raise mismatch
+    report = OracleReport()
+    for key, app, profile in keys:  # grid order, not arrival order
+        if key in outcome.results:
+            cell = OracleCell.from_payload(outcome.results[key])
+        else:
+            record = outcome.quarantined.get(key, {})
+            failures = record.get("failures", [])
+            cell = OracleCell(
+                app=app, profile=profile, passed=False,
+                detail=(f"quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
+                        f"failures (crash/hang); see checkpoint record"),
+            )
+        report.cells.append(cell)
+        if strict and not cell.passed:
+            raise OracleMismatch(
+                f"{app} under {cell.profile_name}: {cell.detail}"
+            )
     return report
 
 
@@ -351,54 +351,3 @@ def _oracle_registry_meta(
         registry.close()
     return {"parent_id": parent_id, "code_version": version}
 
-
-def _run_oracle_parallel(
-    apps: Sequence[str],
-    profiles: Sequence[Optional[str]],
-    workload_scale: float,
-    fault_seed: int,
-    strict: bool,
-    analysis_optimize: bool,
-    trace_dir: Optional[str],
-    jobs: int,
-    system: Optional[SystemConfig],
-    registry_path: Optional[str] = None,
-    registry_meta: Optional[Dict[str, object]] = None,
-) -> OracleReport:
-    """Shard oracle cells across the supervised worker pool."""
-    from repro.harness.parallel import (
-        run_cells_parallel,
-        run_oracle_cell_payload,
-    )
-
-    cells = []
-    keys: List[Tuple[str, str, Optional[str]]] = []
-    for app in apps:
-        for profile in profiles:
-            key = f"oracle/{app}/{profile or 'fault-free'}"
-            keys.append((key, app, profile))
-            cells.append((key, run_oracle_cell_payload,
-                          (app, profile, workload_scale, fault_seed,
-                           analysis_optimize, trace_dir, system)))
-    outcome = run_cells_parallel(cells, jobs=jobs, identity="oracle",
-                                 registry_path=registry_path,
-                                 registry_meta=registry_meta)
-
-    report = OracleReport()
-    for key, app, profile in keys:  # serial report order, not arrival order
-        if key in outcome.results:
-            cell = OracleCell.from_payload(outcome.results[key])
-        else:
-            record = outcome.quarantined.get(key, {})
-            failures = record.get("failures", [])
-            cell = OracleCell(
-                app=app, profile=profile, passed=False,
-                detail=(f"quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
-                        f"failures (crash/hang); see checkpoint record"),
-            )
-        report.cells.append(cell)
-        if strict and not cell.passed:
-            raise OracleMismatch(
-                f"{app} under {cell.profile_name}: {cell.detail}"
-            )
-    return report

@@ -1,11 +1,11 @@
-"""Parallel sweep engine: shard sealed simulation cells across workers.
+"""The cell engine: run sealed simulation cells, serially or sharded.
 
-Every sweep cell (one ``(sweep point, app, variant)`` triple), oracle
-cell, and chaos cell is a sealed deterministic simulation — independent
-seeding means any subset can run anywhere, in any order, and merge into
-a result set byte-identical to a serial run.  That is exactly the "cell
-as the unit of parallelism" model of Simics' threading commands, and it
-makes the cells safe to shard across processes.
+Every harness grid — sweep points, the differential oracle, chaos
+matrices, fuzz campaigns — is a set of sealed deterministic simulation
+cells.  Independent seeding means any subset can run anywhere, in any
+order, and merge into the same result set, so one driver,
+:func:`run_cells_parallel`, runs them all.  That is the "cell as the
+unit of parallelism" model of Simics' threading commands.
 
 This module is the policy layer above :mod:`repro.harness.supervisor`:
 
@@ -16,8 +16,8 @@ This module is the policy layer above :mod:`repro.harness.supervisor`:
   checkpoints (``<path>.worker-<slot>``), and both parent- and
   worker-SIGKILLs resume without recomputation because the parent merges
   partials back into the main checkpoint atomically on the next run;
-* it degrades gracefully: ``jobs <= 1`` or a pool that fails to start
-  runs the exact serial path, same results, same checkpoint format.
+* ``jobs <= 1`` runs the cells in-process, and a pool that fails to
+  start degrades to that same path: same results, same checkpoint bytes.
 
 The determinism guard (tests + ``benchmarks/bench_parallel_sweep.py``)
 asserts the parallel result set is byte-identical to serial across all
@@ -202,15 +202,17 @@ def run_cells_parallel(
     registry_path: Optional[str] = None,
     registry_meta: Optional[Dict[str, object]] = None,
 ) -> SupervisorOutcome:
-    """Run cell specs under the supervised pool, checkpointing results.
+    """Run cell specs, checkpointing results; the one cell engine.
 
-    The parallel counterpart of :func:`repro.harness.checkpoint.run_cells`
-    — same checkpoint file, same identity rules, same resume semantics —
-    plus supervision: crashed and hung cells are rescheduled, poisoned
-    cells are quarantined instead of sinking the sweep, and SIGINT /
-    SIGTERM flush the checkpoint before exiting.  With ``jobs <= 1`` (or
-    when the worker pool cannot start) the cells run serially in-process
-    with identical results.
+    With ``checkpoint_path`` set, each finished cell is checkpointed
+    atomically; with ``resume`` also set, previously checkpointed cells
+    are restored (and reported to ``progress`` as ``(key, True)``) before
+    any cell runs.  SIGINT / SIGTERM flush the checkpoint before exiting.
+    With ``jobs <= 1`` (or when the worker pool cannot start) the cells
+    run serially in-process; otherwise they run under supervision:
+    crashed and hung cells are rescheduled, and poisoned cells are
+    quarantined instead of sinking the sweep.  Results are identical
+    either way.
 
     With ``registry_path`` set, every completed cell also lands in the
     persistent run registry: workers append records to per-slot sidecar
@@ -384,7 +386,7 @@ def _run_cells_serial(
     progress: Optional[Callable[[str, bool], None]],
     config: SupervisorConfig,
 ) -> SupervisorOutcome:
-    """The graceful-degradation path: same cells, same checkpointing."""
+    """In-process path for ``jobs <= 1`` and a pool that cannot start."""
     outcome = SupervisorOutcome(
         stats=SupervisorStats(mode="serial", jobs=1)
     )

@@ -1,20 +1,17 @@
-"""Crash-safe persistent stores for the run registry.
+"""Crash-safe persistent store for the run registry.
 
-Two interchangeable backends behind one tiny interface:
-
-* :class:`SqliteStore` — the default (``.db``/``.sqlite`` paths, and any
-  extension that is not ``.jsonl``).  One table keyed by ``run_id`` with
-  indexed identity columns for queries; SQLite's own journal provides
-  crash atomicity.
-* :class:`JsonlStore` — an append-only ledger of one canonical JSON line
-  per record (``.jsonl`` paths), for environments without ``sqlite3``
-  and for tests that assert byte-identity of whole registries.  Appends
-  are fsynced; a torn final line (power-loss mid-append) is ignored on
-  load and healed by the next :meth:`~JsonlStore.compact`.
-
-Both stores deduplicate by ``run_id``: recording the same content twice
-is a no-op, which is what makes parallel-worker sidecar merges and
+:class:`JsonlStore` is an append-only ledger of one canonical JSON line
+per record.  Appends are fsynced; a torn final line (power-loss
+mid-append) is ignored on load and healed by the next
+:meth:`~JsonlStore.compact`, which rewrites the ledger sorted by run id
+so a serial and a ``--jobs N`` run of the same cells leave identical
+bytes.  Records deduplicate by ``run_id``: recording the same content
+twice is a no-op, which is what makes parallel-worker sidecar merges and
 resume-replays idempotent.
+
+:func:`atomic_write_text` is the project's one write-temp / fsync /
+rename / directory-fsync helper; harness checkpoints and reports write
+through it too.
 
 No imports from :mod:`repro.harness` — the harness imports this package
 while its own package init is still running, so the registry must stay a
@@ -23,6 +20,7 @@ leaf (stdlib + ``repro.errors`` + sibling registry modules only).
 
 from __future__ import annotations
 
+import contextlib
 import json
 import os
 import tempfile
@@ -32,19 +30,20 @@ from repro.errors import RegistryError, UnknownRunError
 from repro.registry.fingerprint import canonical_json
 from repro.registry.record import GROUP_KINDS, RunRecord, group_key
 
-try:  # pragma: no cover - exercised only where sqlite3 is absent
-    import sqlite3
-except ImportError:  # pragma: no cover
-    sqlite3 = None  # type: ignore[assignment]
-
 _SQLITE_MAGIC = b"SQLite format 3"
 
 
 def _fsync_directory(directory: str) -> None:
-    """Best-effort directory fsync so a rename/append survives a kill."""
+    """Flush a directory's metadata so a just-renamed entry is durable.
+
+    ``os.replace`` makes the rename atomic with respect to readers, but a
+    power-loss-style kill can still roll it back unless the containing
+    directory is fsynced too.  Best-effort: filesystems that reject
+    directory fsync (some network mounts) keep the old guarantee.
+    """
     flags = os.O_RDONLY | getattr(os, "O_DIRECTORY", 0)
     try:
-        fd = os.open(directory or ".", flags)
+        fd = os.open(directory, flags)
     except OSError:
         return
     try:
@@ -55,29 +54,30 @@ def _fsync_directory(directory: str) -> None:
         os.close(fd)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    """Atomic, durable whole-file replace (same discipline as checkpoints)."""
+def atomic_write_text(path: str, text: str) -> None:
+    """Replace ``path`` with ``text`` atomically and durably.
+
+    The temp file lives in the target's directory so ``os.replace`` is a
+    same-filesystem rename: readers observe either the old complete file
+    or the new complete file, never a torn write.  The temp file's data
+    is fsynced before the rename and the directory after it, so the new
+    file survives a power-loss-style kill as well as a process kill.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".registry-", suffix=".tmp")
+    fd, tmp_path = tempfile.mkstemp(
+        prefix=os.path.basename(path) + ".", suffix=".tmp", dir=directory
+    )
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)
             handle.flush()
             os.fsync(handle.fileno())
-        os.replace(tmp, path)
+        os.replace(tmp_path, path)
     except BaseException:
-        with _suppress_oserror():
-            os.unlink(tmp)
+        with contextlib.suppress(OSError):
+            os.unlink(tmp_path)
         raise
     _fsync_directory(directory)
-
-
-class _suppress_oserror:
-    def __enter__(self) -> None:
-        return None
-
-    def __exit__(self, exc_type: object, exc: object, tb: object) -> bool:
-        return exc_type is not None and issubclass(exc_type, OSError)  # type: ignore[arg-type]
 
 
 class JsonlStore:
@@ -95,8 +95,8 @@ class JsonlStore:
             raw = handle.read()
         if raw.startswith(_SQLITE_MAGIC):
             raise RegistryError(
-                f"registry {self.path!r} is a SQLite database but was opened "
-                "as JSONL (is sqlite3 missing from this interpreter?)"
+                f"registry {self.path!r} is a SQLite database; SQLite "
+                "ledgers are no longer supported, use a .jsonl path"
             )
         lines = raw.decode("utf-8", errors="replace").splitlines()
         for index, line in enumerate(lines):
@@ -149,10 +149,10 @@ class JsonlStore:
         return [self._records[run_id] for run_id in self.ids()]
 
     def delete(self, run_id: str) -> bool:
+        """Drop a record in memory; the next :meth:`compact` persists it."""
         if run_id not in self._records:
             return False
         del self._records[run_id]
-        self.compact()
         return True
 
     def compact(self) -> None:
@@ -166,120 +166,21 @@ class JsonlStore:
         text = "".join(
             canonical_json(self._records[run_id]) + "\n" for run_id in self.ids()
         )
-        _atomic_write_text(self.path, text)
+        atomic_write_text(self.path, text)
 
     def close(self) -> None:
         return None
 
 
-class SqliteStore:
-    """SQLite-backed store: one ``runs`` table plus identity indexes."""
-
-    _SCHEMA = """
-    CREATE TABLE IF NOT EXISTS runs (
-        run_id TEXT PRIMARY KEY,
-        app TEXT NOT NULL,
-        variant TEXT NOT NULL,
-        kind TEXT NOT NULL,
-        params_digest TEXT NOT NULL,
-        seed INTEGER NOT NULL,
-        chaos_profile TEXT NOT NULL,
-        code_version TEXT NOT NULL,
-        parent_id TEXT,
-        record TEXT NOT NULL
-    );
-    CREATE INDEX IF NOT EXISTS runs_identity
-        ON runs (app, variant, kind, chaos_profile, params_digest);
-    CREATE INDEX IF NOT EXISTS runs_parent ON runs (parent_id);
-    """
-
-    def __init__(self, path: str) -> None:
-        if sqlite3 is None:  # pragma: no cover
-            raise RegistryError(
-                "sqlite3 is unavailable in this interpreter; use a .jsonl "
-                "registry path for the append-log backend"
-            )
-        self.path = path
-        try:
-            self._conn = sqlite3.connect(path)
-            self._conn.executescript(self._SCHEMA)
-            self._conn.commit()
-        except sqlite3.DatabaseError as exc:
-            raise RegistryError(
-                f"registry {path!r} is not a readable SQLite database: {exc}"
-            ) from exc
-
-    def put(self, data: Dict[str, object], durable: bool = True) -> bool:
-        cursor = self._conn.execute(
-            "INSERT OR IGNORE INTO runs (run_id, app, variant, kind, "
-            "params_digest, seed, chaos_profile, code_version, parent_id, "
-            "record) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?)",
-            (
-                data["run_id"],
-                data.get("app", ""),
-                data.get("variant", ""),
-                data.get("kind", "run"),
-                data.get("params_digest", ""),
-                data.get("seed", 0),
-                data.get("chaos_profile", "none"),
-                data.get("code_version", ""),
-                data.get("parent_id"),
-                canonical_json(data),
-            ),
-        )
-        if durable:
-            self._conn.commit()
-        return cursor.rowcount > 0
-
-    def get(self, run_id: str) -> Optional[Dict[str, object]]:
-        row = self._conn.execute(
-            "SELECT record FROM runs WHERE run_id = ?", (run_id,)
-        ).fetchone()
-        return json.loads(row[0]) if row else None
-
-    def ids(self) -> List[str]:
-        rows = self._conn.execute("SELECT run_id FROM runs ORDER BY run_id")
-        return [row[0] for row in rows]
-
-    def all(self) -> List[Dict[str, object]]:
-        rows = self._conn.execute("SELECT record FROM runs ORDER BY run_id")
-        return [json.loads(row[0]) for row in rows]
-
-    def delete(self, run_id: str) -> bool:
-        cursor = self._conn.execute(
-            "DELETE FROM runs WHERE run_id = ?", (run_id,)
-        )
-        self._conn.commit()
-        return cursor.rowcount > 0
-
-    def compact(self) -> None:
-        self._conn.commit()
-
-    def close(self) -> None:
-        self._conn.close()
-
-
-def open_store(path: str):
-    """Pick a backend by extension: ``.jsonl`` → append log, else SQLite.
-
-    Falls back to the JSONL backend when ``sqlite3`` is missing (the
-    ledger then lives at the same path in JSONL form; an existing SQLite
-    file in that situation raises instead of being misread).
-    """
-    if path.endswith(".jsonl") or sqlite3 is None:
-        return JsonlStore(path)
-    return SqliteStore(path)
-
-
 class RunRegistry:
-    """Facade over a store: typed records, queries, lineage, merge, gc."""
+    """Facade over the ledger: typed records, queries, lineage, merge, gc."""
 
-    def __init__(self, store) -> None:
+    def __init__(self, store: JsonlStore) -> None:
         self.store = store
 
     @classmethod
     def open(cls, path: str) -> "RunRegistry":
-        return cls(open_store(path))
+        return cls(JsonlStore(path))
 
     @property
     def path(self) -> str:
@@ -430,9 +331,9 @@ class RunRegistry:
         Within each :func:`group_key` population the ``keep``
         lexicographically-greatest run ids survive (content-addressed ids
         carry no time order, so any deterministic rule is as good as
-        another; this one is stable across stores).  Descendants of
-        pruned records and group records left with no children are
-        pruned too.  Returns the pruned ids, sorted.
+        another).  Descendants of pruned records and group records left
+        with no children are pruned too.  The prune is persisted by one atomic :meth:`compact`,
+        so it lands all or nothing.  Returns the pruned ids, sorted.
         """
         if keep < 1:
             raise RegistryError(f"gc keep must be >= 1, got {keep}")
@@ -484,7 +385,7 @@ def merge_worker_sidecars(registry: RunRegistry, base_path: str) -> int:
             continue
         path = os.path.join(directory, name)
         added += registry.merge_file(path)
-        with _suppress_oserror():
+        with contextlib.suppress(OSError):
             os.unlink(path)
     return added
 

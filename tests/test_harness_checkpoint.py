@@ -16,9 +16,9 @@ from repro.harness.checkpoint import (
     SweepCheckpoint,
     atomic_write_json,
     flush_on_signals,
-    run_cells,
 )
-from repro.harness.experiments import SWEEP_POINTS, sweep_cells
+from repro.harness.experiments import SWEEP_POINTS, run_sweep_resumable
+from repro.harness.parallel import run_cells_parallel, sweep_parallel_cells
 from repro.harness.results import RunResult
 
 
@@ -159,13 +159,14 @@ class TestSweepCheckpoint:
     def test_record_and_reload(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
         checkpoint = SweepCheckpoint(path, "sweep:test")
-        checkpoint.record("cell-a", make_result("cell-a"))
-        checkpoint.record("cell-b", make_result("cell-b", cycles=2000))
+        checkpoint.record_payload("cell-a", make_result("cell-a").to_jsonable())
+        checkpoint.record_payload(
+            "cell-b", make_result("cell-b", cycles=2000).to_jsonable())
 
         reloaded = SweepCheckpoint.load(path, "sweep:test")
         assert len(reloaded) == 2
         assert reloaded.keys() == ["cell-a", "cell-b"]
-        assert reloaded.result("cell-b").cycles == 2000
+        assert reloaded.payload("cell-b")["cycles"] == 2000
 
     def test_missing_file_is_typed_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="no checkpoint"):
@@ -192,9 +193,15 @@ class TestSweepCheckpoint:
             SweepCheckpoint.load(path, "sweep:cache")
 
     def test_missing_cell_is_typed_error(self, tmp_path):
-        checkpoint = SweepCheckpoint(str(tmp_path / "c.json"), "x")
+        """A cell absent from a checkpoint reloaded from disk is a typed
+        error, not a raw KeyError."""
+        path = str(tmp_path / "c.json")
+        checkpoint = SweepCheckpoint(path, "x")
+        checkpoint.record_payload("present", make_result("present").to_jsonable())
+        reloaded = SweepCheckpoint.load(path, "x")
+        assert "absent" not in reloaded
         with pytest.raises(CheckpointError, match="no cell"):
-            checkpoint.result("absent")
+            reloaded.payload("absent")
 
     def test_missing_payload_is_typed_error(self, tmp_path):
         checkpoint = SweepCheckpoint(str(tmp_path / "c.json"), "x")
@@ -202,10 +209,17 @@ class TestSweepCheckpoint:
             checkpoint.payload("absent")
 
     def test_malformed_cell_is_typed_error(self, tmp_path):
-        checkpoint = SweepCheckpoint(str(tmp_path / "c.json"), "x")
-        checkpoint.record_payload("broken", {"not": "a RunResult"})
+        """A resumed sweep restoring a cell that is not a RunResult fails
+        with a typed error, not a raw KeyError from deserialization."""
+        path = str(tmp_path / "c.json")
+        checkpoint = SweepCheckpoint(path, "sweep:cache:scale=0.2")
+        keys = [spec[0] for spec in sweep_parallel_cells("cache", 0.2)]
+        for key in keys:
+            checkpoint.record_payload(key, make_result(key).to_jsonable())
+        checkpoint.record_payload(keys[1], {"not": "a RunResult"})
         with pytest.raises(CheckpointError, match="malformed"):
-            checkpoint.result("broken")
+            run_sweep_resumable("cache", workload_scale=0.2,
+                                checkpoint_path=path, resume=True)
 
     def test_unwritable_flush_is_typed_error(self, tmp_path):
         missing_dir = tmp_path / "no" / "such" / "dir"
@@ -258,17 +272,20 @@ class _Killed(Exception):
 
 
 class TestRunCells:
+    """The in-process (``jobs=1``) path of the cell engine."""
+
     def _cells(self, log):
-        def thunk(key):
-            def run():
-                log.append(key)
-                return make_result(key, cycles=100 * (len(log)))
-            return run
-        return [(f"cell-{i}", thunk(f"cell-{i}")) for i in range(4)]
+        def run(key):
+            log.append(key)
+            return make_result(key, cycles=100 * (len(log))).to_jsonable()
+        return [(f"cell-{i}", run, (f"cell-{i}",)) for i in range(4)]
+
+    def _run(self, cells, **kwargs):
+        return run_cells_parallel(cells, jobs=1, **kwargs).results
 
     def test_plain_run_without_checkpoint(self):
         log = []
-        results = run_cells(self._cells(log))
+        results = self._run(self._cells(log))
         assert len(results) == 4
         assert log == [f"cell-{i}" for i in range(4)]
 
@@ -278,39 +295,37 @@ class TestRunCells:
         uninterrupted run."""
         path = str(tmp_path / "ckpt.json")
 
-        # Uninterrupted reference (deterministic thunks).
-        reference = run_cells(self._cells([]))
+        # Uninterrupted reference (deterministic cells).
+        reference = self._run(self._cells([]))
 
-        # First attempt: the third thunk kills the harness.
+        # First attempt: the third cell kills the harness.
         killed_log = []
         cells = self._cells(killed_log)
-        key, original_thunk = cells[2]
 
         def dying():
             raise _Killed()
 
-        cells[2] = (key, dying)
+        cells[2] = (cells[2][0], dying, ())
         with pytest.raises(_Killed):
-            run_cells(cells, checkpoint_path=path, identity="t")
+            self._run(cells, checkpoint_path=path, identity="t")
         assert killed_log == ["cell-0", "cell-1"]
 
         # Resume: completed cells restored, only the rest re-run.
         resumed_log = []
-        results = run_cells(
+        results = self._run(
             self._cells(resumed_log), checkpoint_path=path,
             identity="t", resume=True,
         )
         assert resumed_log == ["cell-2", "cell-3"]  # only missing cells ran
         assert results.keys() == reference.keys()
         for cell_key in reference:
-            assert results[cell_key].output == reference[cell_key].output
-            assert results[cell_key].read_trace == reference[cell_key].read_trace
-            assert results[cell_key].counters == reference[cell_key].counters
+            for field in ("output_b64", "read_trace", "counters"):
+                assert results[cell_key][field] == reference[cell_key][field]
 
     def test_resume_without_checkpoint_starts_fresh(self, tmp_path):
         path = str(tmp_path / "new.json")
         log = []
-        results = run_cells(self._cells(log), checkpoint_path=path,
+        results = self._run(self._cells(log), checkpoint_path=path,
                             identity="t", resume=True)
         assert len(results) == 4
         assert len(log) == 4
@@ -318,19 +333,20 @@ class TestRunCells:
 
     def test_identity_mismatch_refuses_resume(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        run_cells(self._cells([]), checkpoint_path=path, identity="sweep-a")
+        self._run(self._cells([]), checkpoint_path=path, identity="sweep-a")
         with pytest.raises(CheckpointError, match="belongs to sweep"):
-            run_cells(self._cells([]), checkpoint_path=path,
+            self._run(self._cells([]), checkpoint_path=path,
                       identity="sweep-b", resume=True)
 
     def test_progress_callback_reports_resumed_cells(self, tmp_path):
         path = str(tmp_path / "ckpt.json")
-        run_cells(self._cells([])[:2], checkpoint_path=path, identity="t")
+        self._run(self._cells([])[:2], checkpoint_path=path, identity="t")
         seen = []
-        run_cells(self._cells([]), checkpoint_path=path, identity="t",
+        self._run(self._cells([]), checkpoint_path=path, identity="t",
                   resume=True, progress=lambda k, r: seen.append((k, r)))
-        assert seen[0] == ("cell-0", True)
-        assert seen[2] == ("cell-2", False)
+        # Restored cells are reported first, then the cells that ran.
+        assert seen == [("cell-0", True), ("cell-1", True),
+                        ("cell-2", False), ("cell-3", False)]
 
 
 class TestSweepCells:
@@ -338,11 +354,11 @@ class TestSweepCells:
         from repro.harness.config import APPS, Variant
 
         for kind, points in SWEEP_POINTS.items():
-            cells = sweep_cells(kind, workload_scale=0.2)
+            cells = sweep_parallel_cells(kind, workload_scale=0.2)
             assert len(cells) == len(points) * len(APPS) * len(tuple(Variant))
-            keys = [key for key, _ in cells]
+            keys = [spec[0] for spec in cells]
             assert len(set(keys)) == len(keys)  # unique keys
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep kind"):
-            sweep_cells("nope")
+            sweep_parallel_cells("nope")

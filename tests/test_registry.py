@@ -1,11 +1,11 @@
 """Tests for the persistent run registry (ledger, lineage, tuning).
 
 Covers the full registry stack: identity fingerprints, content-addressed
-records, both store backends (JSONL append log and SQLite) with their
-crash-safety semantics, payload classification, similarity search, the
-baseline-population regression detector (including the planted-slowdown
-acceptance scenario), garbage collection, the auto-tuner with provenance
-replay, and the ``repro runs`` / ``--auto-tune`` CLI surface.
+records, the JSONL ledger with its crash-safety semantics, payload
+classification, similarity search, the baseline-population regression
+detector (including the planted-slowdown acceptance scenario), garbage
+collection, the auto-tuner with provenance replay, and the ``repro
+runs`` / ``--auto-tune`` CLI surface.
 """
 
 import json
@@ -47,12 +47,11 @@ from repro.registry.regression import (
     parse_match_keys,
 )
 from repro.registry.similarity import similar_runs
+from repro.registry import store as store_mod
 from repro.registry.store import (
     JsonlStore,
     RunRegistry,
-    SqliteStore,
     merge_worker_sidecars,
-    open_store,
     sidecar_path,
 )
 from repro.registry.tuner import (
@@ -212,22 +211,17 @@ class TestRunRecord:
 # ---------------------------------------------------------------------------
 
 class TestStores:
-    @pytest.mark.parametrize("name", ["ledger.jsonl", "ledger.db"])
-    def test_put_get_dedup_reload(self, tmp_path, name):
-        path = str(tmp_path / name)
+    def test_put_get_dedup_reload(self, tmp_path):
+        path = str(tmp_path / "ledger.jsonl")
         record = make_record()
-        store = open_store(path)
+        store = JsonlStore(path)
         assert store.put(record.to_jsonable()) is True
         assert store.put(record.to_jsonable()) is False  # content dedup
         store.close()
-        store = open_store(path)
+        store = JsonlStore(path)
         assert store.ids() == [record.run_id]
         assert store.get(record.run_id) == record.to_jsonable()
         store.close()
-
-    def test_open_store_dispatches_on_extension(self, tmp_path):
-        assert isinstance(open_store(str(tmp_path / "a.jsonl")), JsonlStore)
-        assert isinstance(open_store(str(tmp_path / "a.db")), SqliteStore)
 
     def test_jsonl_tolerates_torn_final_line(self, tmp_path):
         path = str(tmp_path / "ledger.jsonl")
@@ -252,14 +246,24 @@ class TestStores:
         with pytest.raises(RegistryError):
             JsonlStore(path)
 
-    def test_jsonl_rejects_sqlite_file(self, tmp_path):
-        path = str(tmp_path / "ledger.jsonl")
+    @staticmethod
+    def _sqlite_file(path):
         conn = sqlite3.connect(path)
         conn.execute("CREATE TABLE t (x)")
         conn.commit()
         conn.close()
+        return path
+
+    def test_jsonl_rejects_sqlite_file(self, tmp_path):
+        path = self._sqlite_file(str(tmp_path / "ledger.jsonl"))
         with pytest.raises(RegistryError, match="SQLite"):
             JsonlStore(path)
+
+    def test_open_rejects_existing_sqlite_ledger(self, tmp_path):
+        path = self._sqlite_file(str(tmp_path / "x.db"))
+        with pytest.raises(RegistryError,
+                           match=r"no longer supported.*\.jsonl"):
+            RunRegistry.open(path)
 
     def test_compact_is_canonical_sorted_form(self, tmp_path):
         a, b = make_record(seed=1), make_record(seed=2)
@@ -344,6 +348,33 @@ class TestLineageAndGc:
         with pytest.raises(RegistryError):
             registry.gc(keep=0)
         registry.close()
+
+    def test_gc_prune_is_one_ledger_rewrite(self, tmp_path, monkeypatch):
+        path = str(tmp_path / "r.jsonl")
+        registry = RunRegistry.open(path)
+        for seed in range(6):
+            registry.record(make_record(seed=seed))
+        survivors = [registry.store.get(run_id)
+                     for run_id in registry.store.ids()[-2:]]
+        writes = []
+        real_write = store_mod.atomic_write_text
+
+        def counting_write(target, text):
+            writes.append(target)
+            real_write(target, text)
+
+        monkeypatch.setattr(store_mod, "atomic_write_text", counting_write)
+        pruned = registry.gc(keep=2)
+        registry.close()
+        assert len(pruned) == 4
+        assert writes == [path]  # k deletes, one rewrite
+        # Same bytes as a ledger compacted from the survivors alone.
+        expected = JsonlStore(str(tmp_path / "expected.jsonl"))
+        for data in survivors:
+            expected.put(data, durable=False)
+        expected.compact()
+        with open(path, "rb") as left, open(expected.path, "rb") as right:
+            assert left.read() == right.read()
 
 
 # ---------------------------------------------------------------------------
