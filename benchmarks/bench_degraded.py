@@ -8,8 +8,9 @@ into a CI failure instead of a slow drift:
    must produce byte-identical output to the healthy run, serve demand
    reads through parity reconstruction, and finish the background rebuild
    on the simulation clock.  The double-fault profile must fail loudly
-   with a typed :class:`DataLossError` in *both* variants — silent
-   corruption (or asymmetric survival) is the one unforgivable outcome.
+   with a typed :class:`DataLossError` in *every* variant of every
+   full-mode app — silent corruption (or asymmetric survival) is the one
+   unforgivable outcome.
 2. **Bounded slowdown.**  A degraded array is slower — reconstruction
    fans one read into ``ndisks - 1`` peer reads, speculation is
    suspended, and the rebuild steals bandwidth — but the
@@ -23,7 +24,8 @@ into a CI failure instead of a slow drift:
    machine-independent and compared against the committed baseline in
    ``BENCH_degraded.json``; any drift means degraded-mode results moved.
 
-``--quick`` runs the one-app disk-death leg only (CI smoke);
+``--quick`` runs the one-app disk-death survival leg only (CI smoke);
+the double-fault leg runs in full in both modes;
 ``--update-baseline`` records the current digests after an intentional
 simulation change.
 """
@@ -118,21 +120,24 @@ def check_survival(apps, profiles) -> "tuple[dict, int]":
 
 
 def check_double_fault() -> int:
-    """Both variants must fail loudly with the typed error."""
+    """Every variant of every full-mode app must fail loudly with the
+    typed error (in both modes: a data-loss livelock shows up as a hang
+    here, not as a digest change)."""
     failures = 0
-    for variant in (Variant.ORIGINAL, Variant.SPECULATING):
-        try:
-            run_experiment(ExperimentConfig(
-                app="agrep", variant=variant, workload_scale=SCALE,
-                fault_profile="double-fault",
-            ))
-        except DataLossError as exc:
-            print(f"  double-fault {variant.value:12s} DataLossError: "
-                  f"{str(exc)[:60]}…")
-        else:
-            print(f"FAIL: double-fault {variant.value} completed instead of "
-                  f"raising DataLossError", file=sys.stderr)
-            failures += 1
+    for app in FULL_APPS:
+        for variant in Variant:
+            try:
+                run_experiment(ExperimentConfig(
+                    app=app, variant=variant, workload_scale=SCALE,
+                    fault_profile="double-fault",
+                ))
+            except DataLossError as exc:
+                print(f"  double-fault {app:8s} {variant.value:12s} "
+                      f"DataLossError: {str(exc)[:60]}…")
+            else:
+                print(f"FAIL: double-fault {app}/{variant.value} completed "
+                      f"instead of raising DataLossError", file=sys.stderr)
+                failures += 1
     return failures
 
 

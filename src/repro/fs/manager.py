@@ -16,6 +16,7 @@ from __future__ import annotations
 from typing import Callable, Optional, Sequence
 
 from repro.errors import DataLossError, RetriesExhausted
+from repro.faults.injector import FAULT_DATA_LOSS
 from repro.fs.cache import BlockCache, BlockKey, CacheEntry, EntryState, FetchOrigin
 from repro.fs.filesystem import FileSystem, Inode
 from repro.fs.readahead import ReadAheadState, SequentialReadAhead
@@ -158,7 +159,7 @@ class CacheManagerBase:
                 # an error surfaced to the application.
                 self.cache.discard_fetching(key)
                 self.stats.counter(metrics.CACHE_PREFETCHES_DROPPED).add()
-                self.on_prefetch_dropped(key)
+                self.on_prefetch_dropped(key, req.fault == FAULT_DATA_LOSS)
                 return
             self.cache.mark_valid(key)
             self.on_block_arrived(key)
@@ -220,8 +221,9 @@ class CacheManagerBase:
     def on_block_arrived(self, key: BlockKey) -> None:
         """Called whenever any fetch completes (policy may react)."""
 
-    def on_prefetch_dropped(self, key: BlockKey) -> None:
-        """Called when a prefetch failed terminally (policy may react)."""
+    def on_prefetch_dropped(self, key: BlockKey, lost: bool) -> None:
+        """Called when a prefetch failed terminally (policy may react);
+        ``lost`` means the block is gone for good (data loss)."""
 
     def after_read(self, pid: int) -> None:
         """Called at the end of every read call (policy may react)."""

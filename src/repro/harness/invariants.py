@@ -13,6 +13,9 @@ spec-on / spec-off pair:
   predates its disclosure;
 * ``cancel-drain`` — ``TIPIO_CANCEL_ALL`` drained the hint queue at every
   restart boundary and nothing is left outstanding at end of run;
+* ``lost-prefetch`` — TIP retired hints for blocks lost to data loss
+  instead of re-issuing them: its data-loss prefetch drops never exceed
+  the hints disclosed;
 * ``spec-identity`` — spec-on output and demand-read trace are
   byte-identical to spec-off (the PR 2 oracle), with symmetric typed-error
   handling for plans designed to lose data;
@@ -268,6 +271,37 @@ class CancelDrainMonitor(InvariantMonitor):
         return violations
 
 
+class LostPrefetchMonitor(InvariantMonitor):
+    """A block lost to data loss is never worth another prefetch.
+
+    Each hinted prefetch that fails with data loss retires every queued
+    hint for its block, so there can be at most one such drop per
+    disclosed hint.  More means TIP re-issued prefetches for a block
+    that can never arrive — a livelock that burns host time one
+    simulated cycle per retry.
+    """
+
+    name = "lost-prefetch"
+
+    def check(self, obs: CellObservation) -> List[Violation]:
+        violations: List[Violation] = []
+        for vobs in obs.variants.values():
+            manager = getattr(vobs.system, "manager", None)
+            lifecycle = getattr(manager, "lifecycle", None)
+            drops = getattr(manager, "data_loss_drops", None)
+            if lifecycle is None or drops is None:
+                continue
+            if drops > lifecycle.disclosed_total:
+                violations.append(self._violation(
+                    f"{vobs.variant}: {drops} data-loss prefetch drop(s) "
+                    f"against {lifecycle.disclosed_total} disclosed hint(s) "
+                    f"— TIP re-issued prefetches for lost blocks",
+                    variant=vobs.variant, data_loss_drops=drops,
+                    disclosed=lifecycle.disclosed_total,
+                ))
+        return violations
+
+
 class SpecIdentityMonitor(InvariantMonitor):
     """Spec-on must be byte-identical to spec-off (the PR 2 oracle)."""
 
@@ -395,6 +429,7 @@ DEFAULT_MONITORS: Tuple[InvariantMonitor, ...] = (
     AuditChainMonitor(),
     HintLifecycleMonitor(),
     CancelDrainMonitor(),
+    LostPrefetchMonitor(),
     SpecIdentityMonitor(),
     TypedErrorMonitor(),
     ClockMonotonicityMonitor(),

@@ -14,6 +14,9 @@ Behavioural summary (matching Sections 2.1 and 4 of the paper):
   when their hint is far beyond the prefetch horizon;
 * ``TIPIO_CANCEL_ALL`` empties the issuing process's queue (prefetches
   already issued to the disks proceed and may become unused blocks);
+* a block lost to a double fault has zero prefetch benefit: when its
+  prefetch fails with data loss, every queued hint for it is retired as
+  ``wasted("data-loss")`` instead of being re-issued;
 * in ``ignore_hints`` mode all hint calls are accepted-and-dropped, making
   TIP behave exactly like the baseline UBC manager (Figure 4).
 """
@@ -21,6 +24,7 @@ Behavioural summary (matching Sections 2.1 and 4 of the paper):
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Deque, Dict, List, Optional, Sequence
 
 from repro.fs.cache import BlockCache, BlockKey, CacheEntry, EntryState, FetchOrigin
@@ -40,13 +44,18 @@ from repro.trace.tracer import CAT_TIP, NULL_TRACER, TID_SYSTEM, Tracer
 class _HintedBlock:
     """One block-granularity entry in a process's hint queue."""
 
-    __slots__ = ("key", "seq", "skips")
+    __slots__ = ("key", "seq", "skips", "inode", "disk")
 
     def __init__(self, key: BlockKey, seq: int) -> None:
         self.key = key
         self.seq = seq
         #: How many reads have scanned past this entry without matching it.
         self.skips = 0
+        #: Placement, derived on the first prefetch scan that reaches this
+        #: entry.  Inodes are never replaced, a file's first lbn is fixed
+        #: and ``disk_of`` is pure, so it never goes stale.
+        self.inode: Optional[Inode] = None
+        self.disk = -1
 
 
 class _ProcessHints:
@@ -100,6 +109,12 @@ class TipManager(CacheManagerBase):
         #: disk servicing them (enforces the per-disk in-flight limit).
         self._inflight_hint_fetch: Dict[BlockKey, int] = {}
         self._inflight_per_disk: Dict[int, int] = {}
+        #: Disks at ``max_inflight_per_disk``; when all are, no scan entry
+        #: can issue, so a healthy-mode scan stops there.
+        self._saturated_disks = 0
+        #: Lifetime count of hinted prefetches that failed with data loss
+        #: (the lost-prefetch monitor bounds it by the hints disclosed).
+        self.data_loss_drops = 0
         #: Min hint seq per key across all queues, for eviction decisions.
         self._hinted_seqs: Dict[BlockKey, List[int]] = {}
 
@@ -211,12 +226,14 @@ class TipManager(CacheManagerBase):
 
     def _remember_consumed(self, key: BlockKey) -> None:
         self._next_seq += 1
-        self._consumed_blocks[key] = self._next_seq
-        if len(self._consumed_blocks) > 4096:
+        consumed = self._consumed_blocks
+        # Re-insert so dict order stays seq order (oldest first).
+        consumed.pop(key, None)
+        consumed[key] = self._next_seq
+        if len(consumed) > 4096:
             # Bound memory: forget the oldest half.
-            ordered = sorted(self._consumed_blocks.items(), key=lambda kv: kv[1])
-            for old_key, _ in ordered[: len(ordered) // 2]:
-                del self._consumed_blocks[old_key]
+            for old_key in list(islice(consumed, len(consumed) // 2)):
+                del consumed[old_key]
 
     def _drop_stale(self, state: _ProcessHints, pid: int) -> None:
         queue = state.queue
@@ -267,8 +284,15 @@ class TipManager(CacheManagerBase):
             cap = self.params.degraded_max_inflight_per_disk
             if cap > 0:
                 limit = cap if limit <= 0 else min(limit, cap)
+        # Outside degraded mode a saturated array ends the scan: every
+        # later entry would be skipped with no side effect.  Degraded mode
+        # scans on, counting each skipped entry as shed.
+        stop_when_saturated = not degraded and limit > 0
+        ndisks = self.array.array.ndisks
         scanned = 0
         for entry in state.queue:
+            if stop_when_saturated and self._saturated_disks >= ndisks:
+                break
             if scanned >= depth:
                 if degraded:
                     self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
@@ -277,36 +301,75 @@ class TipManager(CacheManagerBase):
             key = entry.key
             if self.cache.get(key) is not None:
                 continue
-            inode = self.fs.inode(key[0])
-            disk = self.array.disk_of(inode.lbn_of_block(key[1]))
+            inode = entry.inode
+            if inode is None:
+                inode = self.fs.inode(key[0])
+                entry.disk = self.array.disk_of(inode.lbn_of_block(key[1]))
+                entry.inode = inode
+            disk = entry.disk
             if limit > 0 and self._inflight_per_disk.get(disk, 0) >= limit:
                 if degraded:
                     self.stats.counter(metrics.TIP_PREFETCHES_SHED_DEGRADED).add()
                 continue
             if self.start_prefetch(inode, key[1], FetchOrigin.HINT):
-                self._inflight_hint_fetch[key] = disk
-                self._inflight_per_disk[disk] = self._inflight_per_disk.get(disk, 0) + 1
+                self._hint_fetch_started(key, disk)
                 self.stats.counter(metrics.TIP_PREFETCHES_ISSUED).add()
                 self.lifecycle.prefetch_issued(key)
 
+    def _hint_fetch_started(self, key: BlockKey, disk: int) -> None:
+        self._inflight_hint_fetch[key] = disk
+        inflight = self._inflight_per_disk.get(disk, 0) + 1
+        self._inflight_per_disk[disk] = inflight
+        if inflight == self.params.max_inflight_per_disk:
+            self._saturated_disks += 1
+
+    def _hint_fetch_ended(self, key: BlockKey) -> bool:
+        """Release ``key``'s in-flight slot; False if it held none."""
+        disk = self._inflight_hint_fetch.pop(key, None)
+        if disk is None:
+            return False
+        inflight = self._inflight_per_disk[disk]
+        if inflight == self.params.max_inflight_per_disk:
+            self._saturated_disks -= 1
+        self._inflight_per_disk[disk] = inflight - 1
+        return True
+
     def on_block_arrived(self, key: BlockKey) -> None:
         self.lifecycle.filled(key)
-        disk = self._inflight_hint_fetch.pop(key, None)
-        if disk is not None:
-            self._inflight_per_disk[disk] -= 1
+        self._hint_fetch_ended(key)
         for pid in self._procs:
             self._schedule_prefetches(pid)
 
-    def on_prefetch_dropped(self, key: BlockKey) -> None:
+    def on_prefetch_dropped(self, key: BlockKey, lost: bool) -> None:
         """A hinted prefetch failed terminally: release its in-flight slot
-        so the per-disk limit does not leak, and keep prefetching others."""
-        disk = self._inflight_hint_fetch.pop(key, None)
-        if disk is not None:
-            self._inflight_per_disk[disk] -= 1
+        so the per-disk limit does not leak, and keep prefetching others.
+
+        A transient drop (retries exhausted) leaves the hint queued, so
+        TIP may re-issue it.  A ``lost`` block (data loss) can never be
+        fetched, so its hints have zero prefetch benefit: every queued
+        entry for it is retired as ``wasted("data-loss")``.  The demand
+        read of that block still raises the typed ``DataLossError``.
+        """
+        if self._hint_fetch_ended(key):
             self.stats.counter(metrics.TIP_PREFETCHES_DROPPED).add()
             self.lifecycle.prefetch_dropped(key)
+            if lost:
+                self.data_loss_drops += 1
+        if lost and key in self._hinted_seqs:
+            self._retire_lost(key)
         for pid in self._procs:
             self._schedule_prefetches(pid)
+
+    def _retire_lost(self, key: BlockKey) -> None:
+        for pid, state in self._procs.items():
+            kept: Deque[_HintedBlock] = deque()
+            for entry in state.queue:
+                if entry.key == key:
+                    self._forget_seq(key, entry.seq)
+                    self.lifecycle.wasted(entry.seq, pid, "data-loss")
+                else:
+                    kept.append(entry)
+            state.queue = kept
 
     def after_read(self, pid: int) -> None:
         self._schedule_prefetches(pid)

@@ -4,7 +4,7 @@ The informed-prefetching lineage behind TIP stands on per-hint accounting:
 *when* was each hint disclosed, when did its prefetch go to a disk, when
 did the block land in the cache, and how did the hint end — consumed by
 the read it predicted, cancelled by ``TIPIO_CANCEL_ALL``, or wasted
-(stale-dropped or never consumed)?  This module tracks exactly that, one
+(stale-dropped, never consumed, or retired because its block was lost)?  This module tracks exactly that, one
 record per block-granularity hint queue entry, keyed by the TIP manager's
 hint sequence number.
 
@@ -61,7 +61,8 @@ class HintRecord:
         #: Terminal state (None while the hint is open).
         self.terminal: Optional[str] = None
         self.terminal_ts: int = 0
-        #: Why a wasted hint was wasted ("stale" / "unconsumed").
+        #: Why a wasted hint was wasted ("stale" / "unconsumed" /
+        #: "data-loss").
         self.detail: str = ""
 
     @property
@@ -165,8 +166,10 @@ class HintLifecycle:
                 record.filled_ts = now
 
     def prefetch_dropped(self, key: BlockKey) -> None:
-        """The prefetch failed terminally; the hint stays open (TIP may
-        re-issue it) but its issue timestamp no longer stands."""
+        """The prefetch failed terminally; its issue timestamp no longer
+        stands.  After a transient drop the hint stays open and TIP may
+        re-issue it; after data loss TIP retires it as
+        ``wasted("data-loss")`` right after this call."""
         self.prefetches_dropped += 1
         record = self._first_open(key, unissued=False)
         if record is not None and record.filled_ts is None:
@@ -214,7 +217,8 @@ class HintLifecycle:
         self._finish(seq, pid, CANCELLED)
 
     def wasted(self, seq: int, pid: int, detail: str) -> None:
-        """The hint never matched a read (stale-dropped or end-of-run)."""
+        """The hint never matched a read (stale-dropped, end-of-run, or
+        retired because its block was lost)."""
         record = self._finish(seq, pid, WASTED)
         if record is not None:
             record.detail = detail

@@ -14,7 +14,11 @@ from repro.faults.injector import FAULT_DATA_LOSS, FaultInjector
 from repro.faults.plan import FaultPlan
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.oracle import run_oracle_cell
-from repro.harness.runner import run_experiment
+from repro.harness.runner import (
+    add_system_observer,
+    remove_system_observer,
+    run_experiment,
+)
 from repro.params import (
     BLOCKS_PER_STRIPE_UNIT,
     ArrayParams,
@@ -396,6 +400,31 @@ class TestDegradedRuns:
                     app="agrep", variant=variant, workload_scale=SCALE,
                     fault_profile="double-fault",
                 ))
+
+    @pytest.mark.parametrize("variant", list(Variant),
+                             ids=[v.value for v in Variant])
+    @pytest.mark.parametrize("app", ["agrep", "gnuld", "xds", "postgres20"])
+    def test_double_fault_retires_lost_hints(self, app, variant):
+        """Every app and variant ends a double fault in DataLossError,
+        with at most one data-loss prefetch drop per disclosed hint (TIP
+        retires hints for a lost block instead of re-issuing them)."""
+        systems = []
+
+        def observe(system):
+            systems.append(system)
+
+        add_system_observer(observe)
+        try:
+            with pytest.raises(DataLossError):
+                run_experiment(ExperimentConfig(
+                    app=app, variant=variant, workload_scale=0.3,
+                    fault_profile="double-fault",
+                ))
+        finally:
+            remove_system_observer(observe)
+        (system,) = systems
+        manager = system.manager
+        assert manager.data_loss_drops <= manager.lifecycle.disclosed_total
 
     def test_oracle_passes_on_survivable_death_profiles(self):
         for profile in ("disk-death", "rebuild-storm"):

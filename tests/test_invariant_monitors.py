@@ -22,6 +22,7 @@ from repro.harness.invariants import (
     CellObservation,
     ClockMonotonicityMonitor,
     HintLifecycleMonitor,
+    LostPrefetchMonitor,
     SpecIdentityMonitor,
     TypedErrorMonitor,
     VariantObservation,
@@ -239,6 +240,66 @@ class TestCancelDrainMonitor:
 def _result(output=b"out", read_trace=((1, 0, 10),), cycles=100):
     return SimpleNamespace(output=output, read_trace=read_trace,
                            cycles=cycles)
+
+
+class TestLostPrefetchMonitor:
+    """Data-loss prefetch drops are bounded by the hints disclosed."""
+
+    def _vobs(self, drops, disclosed):
+        manager = SimpleNamespace(
+            data_loss_drops=drops,
+            lifecycle=SimpleNamespace(disclosed_total=disclosed),
+        )
+        return VariantObservation(
+            "speculating", system=SimpleNamespace(manager=manager),
+        )
+
+    def test_bounded_drops_are_silent(self):
+        obs = _cell({"speculating": self._vobs(drops=3, disclosed=3)})
+        assert LostPrefetchMonitor().check(obs) == []
+
+    def test_forged_reissue_storm_trips(self):
+        obs = _cell({"speculating": self._vobs(drops=900, disclosed=12)})
+        (violation,) = LostPrefetchMonitor().check(obs)
+        assert violation.monitor == "lost-prefetch"
+        assert violation.witness["data_loss_drops"] == 900
+        assert violation.witness["disclosed"] == 12
+
+    def test_manager_without_counter_is_silent(self):
+        system = SimpleNamespace(manager=SimpleNamespace(lifecycle=None))
+        obs = _cell({"original": VariantObservation("original", system=system)})
+        assert LostPrefetchMonitor().check(obs) == []
+
+    @staticmethod
+    def _double_fault():
+        """xds manual under double-fault: 128 hints, and ~16k data-loss
+        drops when lost hints are not retired."""
+        from repro.harness.config import ExperimentConfig, Variant
+        from repro.harness.fuzz import observe_variant
+
+        vobs = observe_variant(ExperimentConfig(
+            app="xds", variant=Variant.MANUAL, workload_scale=0.1,
+            fault_profile="double-fault",
+        ))
+        assert isinstance(vobs.error, DataLossError)
+        return _cell({"manual": vobs}, plan=profile_plan("double-fault"))
+
+    def test_trips_when_lost_hints_are_not_retired(self, monkeypatch):
+        from repro.tip.manager import TipManager
+
+        # Plant the livelock: lost blocks keep their queued hints, so TIP
+        # re-issues the prefetch every cycle until the demand read fails.
+        monkeypatch.setattr(TipManager, "_retire_lost",
+                            lambda self, key: None)
+        violations = LostPrefetchMonitor().check(
+            self._double_fault())
+        assert [v.monitor for v in violations] == ["lost-prefetch"]
+        assert (violations[0].witness["data_loss_drops"]
+                > violations[0].witness["disclosed"])
+
+    def test_silent_when_lost_hints_are_retired(self):
+        obs = self._double_fault()
+        assert LostPrefetchMonitor().check(obs) == []
 
 
 class TestSpecIdentityMonitor:

@@ -1,6 +1,7 @@
 """Tests for the TIP informed prefetching and caching manager."""
 
 
+from repro.faults.injector import FAULT_DATA_LOSS
 from repro.fs.cache import BlockCache
 from repro.fs.filesystem import FileSystem
 from repro.fs.readahead import SequentialReadAhead
@@ -14,6 +15,7 @@ from repro.params import (
 from repro.sim.clock import SimClock
 from repro.sim.engine import EventEngine
 from repro.sim.stats import StatRegistry
+from repro.storage.request import IORequest
 from repro.storage.striping import StripedArray
 from repro.tip.hints import HintSegment, Ioctl
 from repro.tip.manager import TipManager
@@ -265,3 +267,100 @@ class TestCancelDrain:
         manager.hint_segments(PID, [seg(fs, "f1", 0, 3 * BLOCK_SIZE)])
         manager.cancel_all(PID)
         assert manager.cancelled_total == 5
+
+
+def fail_prefetches(manager, engine, fault, times=None):
+    """Make the next ``times`` array submissions (all if None) fail one
+    cycle later with ``fault``, as the array reports a dropped prefetch."""
+    real_submit = manager.array.submit
+    remaining = [times]
+
+    def submit(lbn, kind, callback):
+        if remaining[0] is not None:
+            if remaining[0] == 0:
+                return real_submit(lbn, kind, callback)
+            remaining[0] -= 1
+        request = IORequest(lbn, kind, callback)
+        request.failed = True
+        request.fault = fault
+        engine.schedule_after(1, lambda: callback(request), label="test:drop")
+        return request
+
+    manager.array.submit = submit
+
+
+class TestLostBlocks:
+    """A prefetch that fails with data loss retires its hints; a transient
+    drop leaves them queued for a re-issue."""
+
+    def test_lost_key_retired_from_every_queue_once(self):
+        manager, fs, engine, stats = make_tip()
+        fail_prefetches(manager, engine, FAULT_DATA_LOSS)
+        ino = fs.lookup("f0").ino
+        manager.hint_segments(1, [seg(fs, "f0", 0, 2 * BLOCK_SIZE)])
+        manager.hint_segments(2, [seg(fs, "f0", 0, 2 * BLOCK_SIZE)])
+        assert stats.get("tip.prefetches_issued") == 2
+        # Bounded drain: re-issuing lost blocks would never go quiet.
+        for _ in range(100):
+            if not engine.advance_to_next():
+                break
+        # Each lost block was fetched once and never re-issued.
+        assert stats.get("tip.prefetches_issued") == 2
+        assert manager.data_loss_drops == 2
+        assert manager.outstanding_hints(1) == 0
+        assert manager.outstanding_hints(2) == 0
+        records = manager.lifecycle.records()
+        assert sorted((r.pid, r.key) for r in records) == [
+            (1, (ino, 0)), (1, (ino, 1)), (2, (ino, 0)), (2, (ino, 1)),
+        ]
+        assert all(r.terminal == "wasted" and r.detail == "data-loss"
+                   for r in records)
+        assert manager.lifecycle.summary_counts()["wasted"] == 4
+        assert manager.lifecycle.open_total == 0
+        # Retired hints no longer protect their blocks from eviction.
+        assert manager._hinted_seqs == {}
+        # The accuracy tracker is left as it was.
+        assert manager.accuracy_of(1).value == manager.accuracy_of(2).value
+
+    def test_transient_drop_keeps_hint_queued_and_reissues(self):
+        manager, fs, engine, stats = make_tip()
+        fail_prefetches(manager, engine, "timeout", times=1)
+        manager.hint_segments(PID, [seg(fs, "f0", 0, BLOCK_SIZE)])
+        drain(engine)
+        assert stats.get("tip.prefetches_dropped") == 1
+        assert stats.get("tip.prefetches_issued") == 2
+        assert manager.data_loss_drops == 0
+        assert manager.outstanding_hints(PID) == 1
+        assert manager.peek_valid(fs.lookup("f0"), 0)
+        (record,) = manager.lifecycle.records()
+        assert record.terminal is None
+
+    def test_cached_placement_matches_derived_placement(self):
+        params = TipParams(prefetch_horizon=64, max_inflight_per_disk=2)
+        manager, fs, engine, _ = make_tip(cache_blocks=64, tip_params=params)
+        manager.hint_segments(PID, [seg(fs, "f0", 0, 32 * BLOCK_SIZE),
+                                    seg(fs, "f1", 0, 32 * BLOCK_SIZE)])
+        queue = manager._procs[PID].queue
+        placed = [entry for entry in queue if entry.inode is not None]
+        assert placed
+        for entry in placed:
+            ino, block = entry.key
+            assert entry.inode is fs.inode(ino)
+            assert entry.disk == manager.array.disk_of(
+                fs.inode(ino).lbn_of_block(block))
+
+    def test_saturation_count_tracks_inflight_slots(self):
+        params = TipParams(prefetch_horizon=64, max_inflight_per_disk=1)
+        manager, fs, engine, stats = make_tip(cache_blocks=64, tip_params=params)
+        manager.hint_segments(PID, [seg(fs, "f0", 0, 32 * BLOCK_SIZE),
+                                    seg(fs, "f1", 0, 32 * BLOCK_SIZE)])
+
+        def saturated():
+            return sum(1 for inflight in manager._inflight_per_disk.values()
+                       if inflight >= params.max_inflight_per_disk)
+
+        assert manager._saturated_disks == saturated() > 0
+        while engine.advance_to_next():
+            assert manager._saturated_disks == saturated()
+        assert manager._saturated_disks == 0
+        assert stats.get("tip.prefetches_issued") == 64
