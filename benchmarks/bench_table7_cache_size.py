@@ -1,4 +1,4 @@
-"""Table 7: elapsed time as the file cache size is varied (6/12/64 MB).
+"""Table 7: elapsed time as the file cache size is varied (paper: 6/12/64 MB).
 
 Paper: the cache size barely matters for Agrep and XDataSlice (little
 reuse, read-ahead rarely fetches far-future data), but the original Gnuld
@@ -9,7 +9,7 @@ while many of the reads it cannot hint keep stalling.
 
 from conftest import banner, once
 
-from repro.harness.experiments import run_cache_size_sweep
+from repro.harness.experiments import SWEEP_POINTS, run_sweep_resumable
 from repro.harness.tables import format_table7
 
 
@@ -17,11 +17,11 @@ from repro.harness.tables import format_table7
 #: exceed the scaled datasets entirely (everything cached after one pass);
 #: 32 MB preserves the paper's 64 MB regime (cache large relative to reuse
 #: but smaller than the data).
-CACHE_POINTS = (6.0, 12.0, 32.0)
+CACHE_POINTS = SWEEP_POINTS["cache"]
 
 
 def test_table7_cache_size(benchmark):
-    sweep = once(benchmark, lambda: run_cache_size_sweep(CACHE_POINTS))
+    sweep = once(benchmark, lambda: run_sweep_resumable("cache"))
     print(banner("Table 7 - varying the file cache size"))
     print(format_table7(sweep))
 

@@ -24,9 +24,6 @@ Package map (see DESIGN.md for the full inventory):
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
     improvements,
-    run_cache_size_sweep,
-    run_cpu_ratio_sweep,
-    run_disk_sweep,
     run_matrix,
     run_one,
 )
@@ -47,9 +44,6 @@ __all__ = [
     "run_experiment",
     "run_one",
     "run_matrix",
-    "run_disk_sweep",
-    "run_cache_size_sweep",
-    "run_cpu_ratio_sweep",
     "improvements",
     "__version__",
 ]

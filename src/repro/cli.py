@@ -23,10 +23,13 @@ Commands
     secret-marked data region can flow into the operands of a disclosed
     I/O hint; with ``--lint`` any leak exits non-zero.
 
-``sweep {disks,cache,ratio,degraded}``
+``sweep {disks,cache,ratio,degraded} [--checkpoint PATH [--resume]]
+[--jobs N] [--registry PATH]``
     Regenerate one of the paper's sweep experiments (Figure 5 / Table 7 /
     Figure 6) and print the series; ``degraded`` sweeps the storage fault
-    regime (healthy vs. disk-death vs. rebuild-storm) instead.
+    regime (healthy vs. disk-death vs. rebuild-storm) instead.  Every
+    sweep runs on the cell engine and prints one ``[ran    ]`` (or
+    ``[resumed]``) progress line per cell before its tables.
 
 ``trace APP [--categories C,...] [--export {jsonl,chrome}] [--out PATH]
 [--summary] [--top-hints N]``
@@ -71,12 +74,6 @@ from repro.errors import ReproError
 from repro.faults.plan import PROFILES
 from repro.harness import paper
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
-from repro.harness.experiments import (
-    run_cache_size_sweep,
-    run_cpu_ratio_sweep,
-    run_degraded_sweep,
-    run_disk_sweep,
-)
 from repro.harness.runner import run_experiment
 from repro.harness.tables import (
     format_degraded_sweep,
@@ -414,43 +411,34 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    checkpoint = getattr(args, "checkpoint", None)
-    jobs = getattr(args, "jobs", 1)
-    registry = getattr(args, "registry", None)
-    if checkpoint is None and getattr(args, "resume", False):
+    """``repro sweep KIND``: run the sweep's cells and print its tables.
+
+    ``--checkpoint`` records each finished cell atomically and
+    ``--resume`` restores completed cells after a kill; ``--jobs N``
+    shards cells across the supervised worker pool.
+    """
+    from repro.harness import experiments
+    from repro.harness.report import format_supervisor_stats
+
+    if args.checkpoint is None and args.resume:
         raise ReproError("--resume requires --checkpoint PATH")
-    if checkpoint is not None or jobs > 1 or registry is not None:
-        # Crash-safe / parallel path: run cell by cell, checkpointing each
-        # result atomically; --resume restores completed cells after a
-        # kill; --jobs N shards cells across the supervised worker pool.
-        from repro.harness.experiments import run_sweep_resumable
-        from repro.harness.report import format_supervisor_stats
 
-        def progress(key: str, resumed: bool) -> None:
-            print(f"  [{'resumed' if resumed else 'ran    '}] {key}")
+    def progress(key: str, resumed: bool) -> None:
+        print(f"  [{'resumed' if resumed else 'ran    '}] {key}")
 
-        stats_out: dict = {}
-        sweep = run_sweep_resumable(
-            args.kind,
-            workload_scale=args.scale,
-            checkpoint_path=checkpoint,
-            resume=getattr(args, "resume", False),
-            progress=progress,
-            jobs=jobs,
-            stats_out=stats_out,
-            registry_path=registry,
-        )
-        if stats_out:
-            print(format_supervisor_stats(stats_out))
-    elif args.kind == "disks":
-        sweep = run_disk_sweep((1, 2, 4, 10), workload_scale=args.scale)
-    elif args.kind == "cache":
-        sweep = run_cache_size_sweep((6.0, 12.0, 32.0),
-                                     workload_scale=args.scale)
-    elif args.kind == "degraded":
-        sweep = run_degraded_sweep(workload_scale=args.scale)
-    else:
-        sweep = run_cpu_ratio_sweep((1, 3, 5, 9), workload_scale=args.scale)
+    stats_out: dict = {}
+    sweep = experiments.run_sweep_resumable(
+        args.kind,
+        workload_scale=args.scale,
+        checkpoint_path=args.checkpoint,
+        resume=args.resume,
+        progress=progress,
+        jobs=args.jobs,
+        stats_out=stats_out,
+        registry_path=args.registry,
+    )
+    if stats_out:
+        print(format_supervisor_stats(stats_out))
 
     if args.kind == "disks":
         print(format_table8(sweep))

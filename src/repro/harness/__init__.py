@@ -12,9 +12,6 @@ from repro.harness.checkpoint import (
 )
 from repro.harness.config import ExperimentConfig, Variant
 from repro.harness.experiments import (
-    run_cache_size_sweep,
-    run_cpu_ratio_sweep,
-    run_disk_sweep,
     run_matrix,
     run_one,
     run_sweep_cell,
@@ -61,9 +58,6 @@ __all__ = [
     "run_experiment",
     "run_one",
     "run_matrix",
-    "run_disk_sweep",
-    "run_cache_size_sweep",
-    "run_cpu_ratio_sweep",
     "run_sweep_cell",
     "run_sweep_resumable",
     "sweep_parallel_cells",

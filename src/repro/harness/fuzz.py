@@ -337,9 +337,14 @@ def run_fuzz(
 
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
-        registry_meta = _fuzz_registry_meta(
-            registry_path, budget, seed, apps, workload_scale,
-        )
+        from repro.registry.recorder import record_group
+
+        registry_meta = record_group(registry_path, "fuzz-campaign", {
+            "budget": budget,
+            "fuzz_seed": seed,
+            "apps": list(apps),
+            "workload_scale": workload_scale,
+        })
 
     cells = [
         (case.key, run_fuzz_cell_payload,
@@ -376,38 +381,6 @@ def run_fuzz(
             digest="quarantined",
         ))
     return report
-
-
-def _fuzz_registry_meta(
-    registry_path: str,
-    budget: int,
-    seed: int,
-    apps: Sequence[str],
-    workload_scale: float,
-) -> Dict[str, object]:
-    """Write the campaign's group record; returns the cells' context."""
-    from repro.registry.fingerprint import code_version
-    from repro.registry.record import RunRecord
-    from repro.registry.store import RunRegistry
-
-    version = code_version()
-    parent = RunRecord(
-        kind="fuzz-campaign",
-        code_version=version,
-        meta={
-            "budget": budget,
-            "fuzz_seed": seed,
-            "apps": list(apps),
-            "workload_scale": workload_scale,
-        },
-    )
-    registry = RunRegistry.open(registry_path)
-    try:
-        parent_id = registry.record(parent)
-        registry.compact()
-    finally:
-        registry.close()
-    return {"parent_id": parent_id, "code_version": version}
 
 
 def replay_case(

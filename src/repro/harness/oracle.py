@@ -283,9 +283,14 @@ def run_oracle(
 
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
-        registry_meta = _oracle_registry_meta(
-            registry_path, apps, profiles, workload_scale, fault_seed,
-        )
+        from repro.registry.recorder import record_group
+
+        registry_meta = record_group(registry_path, "oracle", {
+            "apps": list(apps),
+            "profiles": [p or "fault-free" for p in profiles],
+            "workload_scale": workload_scale,
+            "fault_seed": fault_seed,
+        })
 
     cells = []
     keys: List[Tuple[str, str, Optional[str]]] = []
@@ -318,36 +323,4 @@ def run_oracle(
                 f"{app} under {cell.profile_name}: {cell.detail}"
             )
     return report
-
-
-def _oracle_registry_meta(
-    registry_path: str,
-    apps: Sequence[str],
-    profiles: Sequence[Optional[str]],
-    workload_scale: float,
-    fault_seed: int,
-) -> Dict[str, object]:
-    """Write the oracle matrix's group record; returns the cell context."""
-    from repro.registry.fingerprint import code_version
-    from repro.registry.record import RunRecord
-    from repro.registry.store import RunRegistry
-
-    version = code_version()
-    parent = RunRecord(
-        kind="oracle",
-        code_version=version,
-        meta={
-            "apps": list(apps),
-            "profiles": [p or "fault-free" for p in profiles],
-            "workload_scale": workload_scale,
-            "fault_seed": fault_seed,
-        },
-    )
-    registry = RunRegistry.open(registry_path)
-    try:
-        parent_id = registry.record(parent)
-        registry.compact()
-    finally:
-        registry.close()
-    return {"parent_id": parent_id, "code_version": version}
 

@@ -30,11 +30,11 @@ import contextlib
 import glob
 import os
 import sys
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import CheckpointError, QuarantinedCell
 from repro.harness.checkpoint import SweepCheckpoint, flush_on_signals
-from repro.harness.config import ExperimentConfig, Variant
+from repro.harness.config import Variant
 from repro.harness.supervisor import (
     CellSpec,
     Supervisor,
@@ -42,6 +42,9 @@ from repro.harness.supervisor import (
     SupervisorOutcome,
     SupervisorStats,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.harness.experiments import SweepPoint
 
 #: Payload a cell runner returns: a JSON-safe dict (RunResult or oracle
 #: cell serialization) that crosses the result pipe verbatim.
@@ -64,26 +67,6 @@ def run_sweep_cell_payload(
 
     result = run_sweep_cell(kind, point, app, Variant(variant_value),  # type: ignore[arg-type]
                             workload_scale)
-    return result.to_jsonable()
-
-
-def run_chaos_cell_payload(
-    app: str,
-    variant_value: str,
-    profile: Optional[str],
-    workload_scale: float,
-    fault_seed: int,
-) -> Payload:
-    """One chaos-matrix cell (app x variant under one fault profile)."""
-    from repro.harness.runner import run_experiment
-
-    result = run_experiment(ExperimentConfig(
-        app=app,
-        variant=Variant(variant_value),
-        workload_scale=workload_scale,
-        fault_profile=profile,
-        fault_seed=fault_seed,
-    ))
     return result.to_jsonable()
 
 
@@ -112,9 +95,11 @@ def run_oracle_cell_payload(
 
 
 def sweep_parallel_cells(
-    kind: str, workload_scale: float = 1.0
+    kind: str,
+    workload_scale: float = 1.0,
+    points: Optional[Sequence[SweepPoint]] = None,
 ) -> List[CellSpec]:
-    """Picklable cell specs of one sweep (same keys as the serial path)."""
+    """Picklable cell specs of one sweep; ``points`` defaults to the kind's."""
     from repro.harness.config import APPS
     from repro.harness.experiments import SWEEP_POINTS, point_label
 
@@ -123,7 +108,7 @@ def sweep_parallel_cells(
             f"unknown sweep kind {kind!r}; expected one of {sorted(SWEEP_POINTS)}"
         )
     cells: List[CellSpec] = []
-    for point in SWEEP_POINTS[kind]:
+    for point in SWEEP_POINTS[kind] if points is None else points:
         for app in APPS:
             for variant in tuple(Variant):
                 key = f"{kind}={point_label(point)}/{app}/{variant.value}"
@@ -136,19 +121,21 @@ def sweep_parallel_cells(
 def chaos_parallel_cells(
     apps: Tuple[str, ...],
     profiles: Tuple[Optional[str], ...],
-    variants: Tuple[Variant, ...] = tuple(Variant),
     workload_scale: float = 1.0,
-    fault_seed: int = 7,
 ) -> List[CellSpec]:
-    """Cell specs of an app x variant x chaos-profile matrix."""
+    """Cell specs of an app x variant x chaos-profile matrix.
+
+    Each cell is a ``degraded`` sweep cell at its profile (``None`` runs
+    fault-free), keyed by ``chaos=<profile>/<app>/<variant>``.
+    """
     cells: List[CellSpec] = []
     for profile in profiles:
         for app in apps:
-            for variant in variants:
+            for variant in tuple(Variant):
                 key = f"chaos={profile or 'fault-free'}/{app}/{variant.value}"
-                cells.append((key, run_chaos_cell_payload,
-                              (app, variant.value, profile, workload_scale,
-                               fault_seed)))
+                cells.append((key, run_sweep_cell_payload,
+                              ("degraded", profile or "none", app,
+                               variant.value, workload_scale)))
     return cells
 
 

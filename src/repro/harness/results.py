@@ -411,8 +411,8 @@ class RunResult:
             counters={str(k): int(v) for k, v in dict(data["counters"]).items()},  # type: ignore[call-overload]
             output=base64.b64decode(str(data["output_b64"])),
         )
-        result.median_read_interval = float(data.get("median_read_interval", 0.0))  # type: ignore[arg-type]
-        result.median_hint_interval = float(data.get("median_hint_interval", 0.0))  # type: ignore[arg-type]
+        result.median_read_interval = _number(data, "median_read_interval")
+        result.median_hint_interval = _number(data, "median_hint_interval")
         result.spec_restarts = int(data.get("spec_restarts", 0))  # type: ignore[arg-type]
         result.spec_signals = int(data.get("spec_signals", 0))  # type: ignore[arg-type]
         result.spec_cancel_calls = int(data.get("spec_cancel_calls", 0))  # type: ignore[arg-type]
@@ -443,9 +443,9 @@ class RunResult:
             str(k): int(v)  # type: ignore[call-overload]
             for k, v in dict(data.get("hint_lifecycle", {})).items()
         }
-        result.hint_lead_median = float(data.get("hint_lead_median", 0.0))  # type: ignore[arg-type]
-        result.pct_prefetches_before_demand = float(
-            data.get("pct_prefetches_before_demand", 0.0)  # type: ignore[arg-type]
+        result.hint_lead_median = _number(data, "hint_lead_median")
+        result.pct_prefetches_before_demand = _number(
+            data, "pct_prefetches_before_demand"
         )
         result.params_digest = str(data.get("params_digest", ""))
         result.seed = int(data.get("seed", 0))  # type: ignore[arg-type]
@@ -454,6 +454,19 @@ class RunResult:
         result.tuning_provenance = (dict(provenance)  # type: ignore[arg-type]
                                     if provenance is not None else None)
         return result
+
+
+def _number(data: Dict[str, object], key: str) -> float:
+    """A stored measurement, int or float as written.
+
+    Keeping the stored type (``median_interval`` yields ints for integer
+    event times) makes ``to_jsonable(from_jsonable(p))`` byte-identical
+    to ``p``.
+    """
+    value = data.get(key, 0.0)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"RunResult field {key!r} is not a number: {value!r}")
+    return value
 
 
 def median_interval(times: List[float]) -> float:

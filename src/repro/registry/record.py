@@ -31,11 +31,10 @@ REGISTRY_SCHEMA_VERSION = 1
 LEAF_KINDS = (
     "run",
     "sweep-cell",
-    "chaos-cell",
     "oracle-variant",
     "fuzz-case",
 )
-GROUP_KINDS = ("sweep", "chaos-sweep", "oracle", "oracle-cell", "fuzz-campaign")
+GROUP_KINDS = ("sweep", "oracle", "oracle-cell", "fuzz-campaign")
 KINDS = LEAF_KINDS + GROUP_KINDS
 
 #: Length of a full run id (hex chars of truncated SHA-256).

@@ -158,6 +158,27 @@ def records_for_payload(
     )
 
 
+def record_group(
+    registry_path: str, kind: str, meta: Dict[str, object]
+) -> Dict[str, object]:
+    """Write a grid's group record; returns its cells' record context.
+
+    The group record is a pure function of the grid's identity (no
+    results, no clock), so serial and parallel runs — and re-runs — all
+    produce the same parent run id and deduplicate onto one ledger line.
+    """
+    version = code_version()
+    registry = RunRegistry.open(registry_path)
+    try:
+        parent_id = registry.record(
+            RunRecord(kind=kind, code_version=version, meta=meta)
+        )
+        registry.compact()
+    finally:
+        registry.close()
+    return {"parent_id": parent_id, "code_version": version}
+
+
 def record_payload(
     registry: RunRegistry,
     key: Optional[str],

@@ -150,6 +150,29 @@ class TestRunResultRoundtrip:
         assert restored.quarantines == 1
         assert restored.audit_head_digest == "abc123"
 
+    @pytest.mark.parametrize("profile, app, variant", [
+        ("none", "agrep", "original"),
+        ("none", "gnuld", "speculating"),
+        ("none", "postgres20", "speculating"),
+        ("disk-death", "xds", "manual"),
+    ])
+    def test_real_payload_round_trips_byte_for_byte(self, profile, app,
+                                                    variant):
+        from repro.harness.config import Variant
+        from repro.harness.experiments import run_sweep_cell
+
+        payload = run_sweep_cell("degraded", profile, app, Variant(variant),
+                                 0.1).to_jsonable()
+        again = RunResult.from_jsonable(payload).to_jsonable()
+        assert json.dumps(again, sort_keys=True) == \
+            json.dumps(payload, sort_keys=True)
+
+    def test_non_numeric_measurement_rejected(self):
+        payload = make_result("x").to_jsonable()
+        payload["median_read_interval"] = "12"
+        with pytest.raises(TypeError, match="median_read_interval"):
+            RunResult.from_jsonable(payload)
+
     def test_jsonable_is_json_serializable(self):
         blob = json.dumps(make_result("x").to_jsonable())
         assert "output_b64" in blob
@@ -358,6 +381,20 @@ class TestSweepCells:
             assert len(cells) == len(points) * len(APPS) * len(tuple(Variant))
             keys = [spec[0] for spec in cells]
             assert len(set(keys)) == len(keys)  # unique keys
+
+    def test_custom_ratio_points_scale_cycles_once(self):
+        from repro.harness.config import Variant
+        from repro.harness.experiments import run_sweep_cell
+
+        sweep = run_sweep_resumable("ratio", workload_scale=0.1,
+                                    points=(2, 7))
+        assert list(sweep) == [2, 7]
+        for point, matrix in sweep.items():
+            for app, by_variant in matrix.items():
+                for variant, result in by_variant.items():
+                    direct = run_sweep_cell("ratio", point, app,
+                                            Variant(variant), 0.1)
+                    assert result.cycles == direct.cycles
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError, match="unknown sweep kind"):

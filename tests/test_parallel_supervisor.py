@@ -465,7 +465,12 @@ class TestIntegration:
         assert parallel.passed
         assert parallel.to_jsonable() == serial.to_jsonable()
 
-    def test_cli_sweep_forwards_jobs(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("extra, jobs", [
+        ([], 1),
+        (["--checkpoint", "sweep.ckpt"], 1),
+        (["--jobs", "3"], 3),
+    ], ids=["plain", "checkpoint", "jobs"])
+    def test_cli_sweep_forwards_jobs(self, monkeypatch, capsys, extra, jobs):
         from repro import cli
         from repro.harness import experiments
 
@@ -474,7 +479,7 @@ class TestIntegration:
         def fake_resumable(kind, **kwargs):
             captured["kind"] = kind
             captured.update(kwargs)
-            if kwargs.get("stats_out") is not None:
+            if kwargs["jobs"] > 1:
                 kwargs["stats_out"]["mode"] = "parallel"
             from repro.harness.results import RunResult
 
@@ -490,13 +495,14 @@ class TestIntegration:
 
         monkeypatch.setattr(experiments, "run_sweep_resumable",
                             fake_resumable)
-        exit_code = cli.main(["sweep", "cache", "--scale", "0.2",
-                              "--jobs", "3"])
+        exit_code = cli.main(["sweep", "cache", "--scale", "0.2", *extra])
         assert exit_code == 0
+        # Every sweep, plain or not, runs on the cell engine.
         assert captured["kind"] == "cache"
-        assert captured["jobs"] == 3
+        assert captured["jobs"] == jobs
         out = capsys.readouterr().out
-        assert "parallel" in out  # supervisor stats line printed
+        # The supervisor stats block prints only for a parallel run.
+        assert ("parallel" in out) == (jobs > 1)
 
     def test_cli_run_oracle_forwards_jobs(self, monkeypatch):
         from repro import cli
