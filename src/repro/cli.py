@@ -41,7 +41,8 @@ Commands
 ``fuzz [--budget N] [--seed S] [--jobs N] [--apps A,B] [--scale S]
 [--coverage-report PATH] [--failures-dir DIR] [--max-shrink N]``
     Chaos fuzzing: generate ``--budget`` randomized fault schedules,
-    run each as a spec-off/spec-on cell under the invariant monitors,
+    run each as a spec-off/spec-on cell under the invariant monitors
+    (default apps: agrep, gnuld, xds, postgres20),
     print the fault-space coverage ledger, and shrink any failing cell
     to a minimal reproducer JSON in ``--failures-dir``.
 
@@ -249,28 +250,24 @@ def cmd_run(args: argparse.Namespace) -> int:
 def _run_oracle(args: argparse.Namespace) -> int:
     """``run APP --oracle``: the differential correctness oracle.
 
-    With ``--chaos`` set the oracle checks that one profile; without it,
-    the fault-free baseline plus every built-in chaos profile.
+    Every cell starts from the run's own config (disks, cache, scale,
+    seeds).  With ``--chaos`` set the oracle checks that one profile;
+    without it, the fault-free baseline plus every built-in chaos profile.
     """
     from repro.harness.checkpoint import atomic_write_json
     from repro.harness.oracle import ORACLE_PROFILES, run_oracle
 
-    system = SystemConfig(
-        array=ArrayParams(ndisks=args.disks), ncpus=args.ncpus,
-        seed=getattr(args, "seed", 1999),
-    )
     chaos = getattr(args, "chaos", None)
     if chaos is not None:
         profiles = (chaos if chaos != "none" else None,)
     else:
         profiles = ORACLE_PROFILES
+    trace_dir = getattr(args, "trace_out", None)
     report = run_oracle(
         (args.app,),
         profiles=profiles,
-        workload_scale=args.scale,
-        fault_seed=getattr(args, "fault_seed", 7),
-        system=system,
-        trace_dir=getattr(args, "trace_out", None),
+        base=_base_config(args),
+        trace_dir=trace_dir,
         jobs=getattr(args, "jobs", 1),
         registry_path=getattr(args, "registry", None),
     )
@@ -281,6 +278,8 @@ def _run_oracle(args: argparse.Namespace) -> int:
             line += f"  ({cell.detail})"
         print(line)
     print(report.summary())
+    if trace_dir and not report.passed:
+        print(f"traces of failing cells written to {trace_dir}/")
     report_path = getattr(args, "oracle_report", None)
     if report_path:
         atomic_write_json(report_path, report.to_jsonable())
@@ -528,11 +527,11 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     import os
 
     from repro.faults.shrink import Reproducer, shrink_case
-    from repro.harness.fuzz import replay_case, run_fuzz, run_fuzz_case
+    from repro.harness.fuzz import run_fuzz, run_fuzz_case
 
     if getattr(args, "fuzz_command", None) == "replay":
         reproducer = Reproducer.load(args.file)
-        result = replay_case(
+        result = run_fuzz_case(
             reproducer.case, workload_scale=reproducer.workload_scale
         )
         label = reproducer.monitor or "any"
@@ -810,10 +809,11 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--variant", default="speculating",
                        choices=[v.value for v in Variant])
     run_p.add_argument("--oracle", action="store_true",
-                       help="differential correctness oracle: run spec-on "
-                            "vs spec-off and assert identical output and "
-                            "demand-read sequences (all chaos profiles, or "
-                            "just the one named by --chaos)")
+                       help="differential correctness oracle: run spec-off "
+                            "then spec-on from this run's config and judge "
+                            "the pair with the invariant monitors, identical "
+                            "output and demand reads included (all chaos "
+                            "profiles, or just the one named by --chaos)")
     run_p.add_argument("--jobs", type=int, default=1, metavar="N",
                        help="with --oracle: run oracle cells on N "
                             "supervised worker processes; 1 = serial")
@@ -823,7 +823,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--trace-out", default=None, metavar="PATH",
                        dest="trace_out",
                        help="with --oracle: directory for JSONL trace dumps "
-                            "of any diverging cell (both variants); without: "
+                            "of any failing cell (both variants); without: "
                             "write this run's full JSONL trace to PATH")
     run_p.add_argument("--auto-tune", action="store_true", dest="auto_tune",
                        help="ask the registry's auto-tuner for speculation "
@@ -934,8 +934,10 @@ def build_parser() -> argparse.ArgumentParser:
                         help="shard fuzz cells across N supervised worker "
                              "processes (crashed/hung cells quarantined); "
                              "1 = serial")
-    fuzz_p.add_argument("--apps", default="agrep", metavar="A,B",
-                        help="comma-separated benchmark apps to fuzz")
+    fuzz_p.add_argument("--apps", default="agrep,gnuld,xds,postgres20",
+                        metavar="A,B",
+                        help="comma-separated benchmark apps to fuzz "
+                             "(default: %(default)s)")
     fuzz_p.add_argument("--scale", type=float, default=0.25,
                         help="workload scale factor per cell")
     fuzz_p.add_argument("--coverage-report", default=None, metavar="PATH",

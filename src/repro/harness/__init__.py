@@ -29,7 +29,6 @@ from repro.harness.supervisor import (
 from repro.harness.fuzz import (
     FuzzCellResult,
     FuzzReport,
-    replay_case,
     run_fuzz,
     run_fuzz_case,
 )
@@ -74,7 +73,6 @@ __all__ = [
     "run_oracle_cell",
     "FuzzCellResult",
     "FuzzReport",
-    "replay_case",
     "run_fuzz",
     "run_fuzz_case",
     "DEFAULT_MONITORS",

@@ -1,17 +1,18 @@
 """The chaos-fuzzing engine: generated fault schedules, monitored cells.
 
-A fuzz *cell* is the differential pair the PR 2 oracle established —
-spec-off and spec-on runs of one app on one seed — but under a
-*generated* :class:`~repro.faults.plan.FaultPlan` instead of a built-in
-profile, and judged by the full invariant-monitor suite
-(:mod:`repro.harness.invariants`) instead of output identity alone.
-Every cell:
+A fuzz *cell* is a differential pair — spec-off, then spec-on, of one
+app from one base config — under a *generated*
+:class:`~repro.faults.plan.FaultPlan`, judged by the invariant-monitor
+suite (:mod:`repro.harness.invariants`).  The differential oracle runs
+its built-in-profile cells through the same :func:`observe_cell`.
+Every fuzz cell:
 
 1. reconstructs its :class:`~repro.faults.generate.FuzzCase` from JSON
    (cells cross the supervised worker pool as plain payloads);
-2. runs both variants, capturing the live system through the runner's
-   observer hook so monitors can inspect audit tables, the hint-lifecycle
-   ledger and the TIP queue even when the run escaped with an exception;
+2. runs both variants (:func:`observe_cell`), capturing the live system
+   through the runner's observer hook so monitors can inspect audit
+   tables, the hint-lifecycle ledger and the TIP queue even when the
+   run escaped with an exception;
 3. evaluates every monitor and returns the violations plus a canonical
    *cell digest* over outputs, demand-read traces, cycle counts and
    escapes — two campaigns with the same seed must produce identical
@@ -41,6 +42,7 @@ from repro.faults.generate import (
     case_dimensions,
     validate_spec_overrides,
 )
+from repro.faults.plan import FaultPlan
 from repro.harness.config import ALL_APPS, ExperimentConfig, Variant
 from repro.harness.invariants import (
     DEFAULT_MONITORS,
@@ -56,6 +58,7 @@ from repro.harness.runner import (
     run_experiment_with_system,
 )
 from repro.params import SystemConfig
+from repro.trace.tracer import NULL_TRACER, Tracer
 
 #: Default workload scale for fuzz cells (small enough that a 50-cell
 #: budget stays interactive, large enough that speculation engages).
@@ -66,10 +69,8 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
 
 
-def case_config(
-    case: FuzzCase, variant: Variant, workload_scale: float
-) -> ExperimentConfig:
-    """The experiment configuration one fuzz-cell variant runs under."""
+def case_config(case: FuzzCase, workload_scale: float) -> ExperimentConfig:
+    """The base experiment configuration of one fuzz cell."""
     if case.app not in ALL_APPS:
         raise FuzzError(
             f"fuzz case app {case.app!r} unknown; expected one of {ALL_APPS}"
@@ -82,14 +83,15 @@ def case_config(
         ))
     return ExperimentConfig(
         app=case.app,
-        variant=variant,
         system=system,
         workload_scale=workload_scale,
         fault_plan=case.plan,
     )
 
 
-def observe_variant(cfg: ExperimentConfig) -> VariantObservation:
+def observe_variant(
+    cfg: ExperimentConfig, tracer: Tracer = NULL_TRACER
+) -> VariantObservation:
     """Run one variant, capturing the live system and any escape.
 
     The system is grabbed through the runner's observer hook *before* the
@@ -106,7 +108,7 @@ def observe_variant(cfg: ExperimentConfig) -> VariantObservation:
 
     add_system_observer(_observer)
     try:
-        result, system = run_experiment_with_system(cfg)
+        result, system = run_experiment_with_system(cfg, tracer=tracer)
         vobs.result = result
         vobs.system = system
     except Exception as exc:
@@ -118,6 +120,26 @@ def observe_variant(cfg: ExperimentConfig) -> VariantObservation:
             ("end", vobs.system.clock.now)  # type: ignore[attr-defined]
         )
     return vobs
+
+
+def observe_cell(
+    base: ExperimentConfig,
+    tracers: Optional[Dict[Variant, Tracer]] = None,
+) -> CellObservation:
+    """Run original, then speculating, from one base config.
+
+    The two runs differ only in the variant; ``tracers`` optionally
+    traces either one.  The cell's plan is the base config's literal
+    plan, else its resolved profile (an empty plan when fault-free).
+    """
+    tracers = tracers or {}
+    variants = {
+        variant.value: observe_variant(base.with_(variant=variant),
+                                       tracers.get(variant, NULL_TRACER))
+        for variant in (Variant.ORIGINAL, Variant.SPECULATING)
+    }
+    plan = base.fault_plan or base.resolved_fault_plan() or FaultPlan()
+    return CellObservation(app=base.app, plan=plan, variants=variants)
 
 
 @dataclass
@@ -208,24 +230,11 @@ def run_fuzz_case(
     monitors: Tuple[InvariantMonitor, ...] = DEFAULT_MONITORS,
 ) -> FuzzCellResult:
     """Run one cell (both variants) and judge it with every monitor."""
-    from repro.registry.fingerprint import params_digest as _params_digest
+    from repro.registry.fingerprint import params_digest
 
-    observations: Dict[str, VariantObservation] = {}
-    identity_digest = ""
-    identity_seed = 0
-    for variant in (Variant.ORIGINAL, Variant.SPECULATING):
-        cfg = case_config(case, variant, workload_scale)
-        # params_digest excludes the variant axis, so either variant's
-        # config yields the same cell identity.
-        identity_digest = _params_digest(cfg)
-        identity_seed = cfg.system.seed
-        observations[variant.value] = observe_variant(cfg)
-    obs = CellObservation(
-        app=case.app,
-        plan=case.plan,
-        spec_overrides=dict(case.spec_overrides),
-        variants=observations,
-    )
+    base = case_config(case, workload_scale)
+    obs = observe_cell(base)
+    observations = obs.variants
     violations = check_all(obs, monitors)
     return FuzzCellResult(
         case=case,
@@ -240,8 +249,9 @@ def run_fuzz_case(
             name: (type(vobs.error).__name__ if vobs.error else None)
             for name, vobs in sorted(observations.items())
         },
-        params_digest=identity_digest,
-        seed=identity_seed,
+        # params_digest excludes the variant axis: one identity per cell.
+        params_digest=params_digest(base),
+        seed=base.system.seed,
     )
 
 
@@ -327,7 +337,7 @@ def run_fuzz(
             raise FuzzError(
                 f"unknown fuzz app {app!r}; expected one of {ALL_APPS}"
             )
-    from repro.harness.parallel import run_cells_parallel
+    from repro.harness.parallel import quarantine_violation, run_cells_parallel
 
     generator = FaultPlanGenerator(seed, apps=apps)
     cases = generator.cases(budget)
@@ -369,25 +379,11 @@ def run_fuzz(
             continue
         record = outcome.quarantined.get(case.key, {})
         report.quarantined[case.key] = dict(record)
-        failures = record.get("failures", [])
         report.cells.append(FuzzCellResult(
-            case=case,
-            violations=[Violation(
-                "supervisor",
-                f"cell quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
-                f"failure(s) (crash/hang); see checkpoint record",
-                {"failures": len(failures)},  # type: ignore[arg-type]
-            )],
+            case=case, violations=[quarantine_violation(record)],
             digest="quarantined",
         ))
     return report
-
-
-def replay_case(
-    case: FuzzCase, workload_scale: float = DEFAULT_FUZZ_SCALE
-) -> FuzzCellResult:
-    """Re-run one case (e.g. a corpus reproducer) under the monitors."""
-    return run_fuzz_case(case, workload_scale=workload_scale)
 
 
 __all__ = [
@@ -395,8 +391,8 @@ __all__ = [
     "FuzzCellResult",
     "FuzzReport",
     "case_config",
+    "observe_cell",
     "observe_variant",
-    "replay_case",
     "run_fuzz",
     "run_fuzz_case",
     "run_fuzz_cell_payload",

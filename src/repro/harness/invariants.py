@@ -1,10 +1,11 @@
-"""Composable invariant monitors evaluated inside every chaos-fuzz cell.
+"""Composable invariant monitors evaluated inside every differential cell.
 
-The chaos fuzzer (``repro fuzz``) does not assert "the run finished"; it
-asserts that the paper's safety contract held *while* the run was being
-tortured.  Each monitor below checks one clause of that contract against
-the live simulated system (and its result record) after a differential
-spec-on / spec-off pair:
+The chaos fuzzer (``repro fuzz``) and the differential oracle (``repro
+run --oracle``) judge their cells with these monitors.  They do not
+assert "the run finished"; they assert that the paper's safety contract
+held *while* the run was being tortured.  Each monitor below checks one
+clause of that contract against the live simulated system (and its
+result record) after a differential spec-on / spec-off pair:
 
 * ``audit-chain`` — every speculating process's hash-chained audit table
   still verifies (a tampered record is detected, per DESIGN.md §8);
@@ -17,8 +18,8 @@ spec-on / spec-off pair:
   instead of re-issuing them: its data-loss prefetch drops never exceed
   the hints disclosed;
 * ``spec-identity`` — spec-on output and demand-read trace are
-  byte-identical to spec-off (the PR 2 oracle), with symmetric typed-error
-  handling for plans designed to lose data;
+  byte-identical to spec-off, with symmetric typed-error handling for
+  plans designed to lose data;
 * ``typed-errors`` — only :class:`~repro.errors.ReproError` subclasses may
   escape a run, and :class:`~repro.errors.DataLossError` only from a plan
   that composes a double fault;
@@ -34,13 +35,35 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import DataLossError, IsolationViolation, ReproError
 from repro.faults.plan import FaultPlan
-from repro.harness.oracle import _first_output_diff, _first_trace_diff
 from repro.harness.results import RunResult
 from repro.trace.lifecycle import CANCELLED
+
+
+def _first_output_diff(a: bytes, b: bytes) -> str:
+    """Human description of the first differing output byte."""
+    limit = min(len(a), len(b))
+    for i in range(limit):
+        if a[i] != b[i]:
+            return (f"output byte {i}: original {a[i]:#04x} vs "
+                    f"speculating {b[i]:#04x}")
+    return f"output length: original {len(a)} vs speculating {len(b)} bytes"
+
+
+def _first_trace_diff(
+    a: Sequence[Tuple[int, int, int]], b: Sequence[Tuple[int, int, int]]
+) -> str:
+    """Human description of the first differing demand read."""
+    limit = min(len(a), len(b))
+    for i in range(limit):
+        if a[i] != b[i]:
+            return (f"demand read #{i}: original {a[i]} vs "
+                    f"speculating {b[i]}")
+    return (f"demand-read count: original {len(a)} vs "
+            f"speculating {len(b)} calls")
 
 
 @dataclass
@@ -95,11 +118,10 @@ class VariantObservation:
 
 @dataclass
 class CellObservation:
-    """One fuzz cell: both variants of one app under one generated plan."""
+    """One differential cell: both variants of one app under one plan."""
 
     app: str
     plan: FaultPlan
-    spec_overrides: Dict[str, object] = field(default_factory=dict)
     variants: Dict[str, VariantObservation] = field(default_factory=dict)
 
     @property
@@ -303,7 +325,7 @@ class LostPrefetchMonitor(InvariantMonitor):
 
 
 class SpecIdentityMonitor(InvariantMonitor):
-    """Spec-on must be byte-identical to spec-off (the PR 2 oracle)."""
+    """Spec-on must be byte-identical to spec-off."""
 
     name = "spec-identity"
 

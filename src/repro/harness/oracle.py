@@ -3,20 +3,16 @@
 The paper's promise is that speculative pre-execution is *transparent*:
 a transformed application produces exactly the output of the original, and
 demands exactly the same data in the same order — hinting changes timing,
-never semantics.  This module turns the promise into an executable check:
-
-* run each application twice on the same seed — :class:`Variant.ORIGINAL`
-  (speculation off) and :class:`Variant.SPECULATING` (speculation on);
-* assert byte-identical program output;
-* assert identical demand-read sequences (the kernel's per-read
-  ``(ino, offset, length)`` trace);
-* repeat under every chaos profile, so the guarantee holds while disks
-  fail, hints are corrupted, and restart storms rage.
-
-A divergence raises (or, in collect mode, records) a typed
-:class:`~repro.errors.OracleMismatch` pinpointing the first differing
-element.  The CLI exposes this as ``run APP --oracle``; CI runs a smoke
-subset on every push.
+never semantics.  An oracle cell checks the promise for one app under one
+chaos profile: it runs :class:`Variant.ORIGINAL`, then
+:class:`Variant.SPECULATING`, from one base config exactly as a fuzz cell
+does (:func:`~repro.harness.fuzz.observe_cell`), and judges the pair with
+the invariant monitors, whose ``spec-identity`` clause requires
+byte-identical output and demand reads.  The oracle adds one rule of its
+own, :class:`CompletionMonitor`.  A failing cell carries its
+:class:`~repro.harness.invariants.Violation` list, the fuzz-cell shape.
+The CLI exposes this as ``run APP --oracle``; CI runs a smoke subset on
+every push.
 """
 
 from __future__ import annotations
@@ -28,9 +24,16 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.errors import DataLossError, OracleMismatch
 from repro.faults.plan import PROFILES
 from repro.harness.config import ExperimentConfig, Variant
+from repro.harness.fuzz import observe_cell
+from repro.harness.invariants import (
+    DEFAULT_MONITORS,
+    CellObservation,
+    InvariantMonitor,
+    Violation,
+    check_all,
+)
 from repro.harness.results import RunResult
-from repro.harness.runner import run_experiment
-from repro.params import SystemConfig
+from repro.registry.fingerprint import params_digest
 from repro.sim.clock import SimClock
 from repro.trace.export import export_to_path
 from repro.trace.tracer import Tracer
@@ -41,27 +44,32 @@ ORACLE_PROFILES: Tuple[Optional[str], ...] = (None,) + tuple(
 )
 
 
-def _first_output_diff(a: bytes, b: bytes) -> str:
-    """Human description of the first differing output byte."""
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return (f"output byte {i}: original {a[i]:#04x} vs "
-                    f"speculating {b[i]:#04x}")
-    return f"output length: original {len(a)} vs speculating {len(b)} bytes"
+class CompletionMonitor(InvariantMonitor):
+    """Every variant completes, or raises the data loss its plan expects.
+
+    The monitors accept one typed error on both sides as symmetric; a
+    cell that never ran its workload proves nothing about transparency.
+    """
+
+    name = "completion"
+
+    def check(self, obs: CellObservation) -> List[Violation]:
+        violations: List[Violation] = []
+        for vobs in obs.variants.values():
+            error = vobs.error
+            if error is None or (obs.expects_data_loss
+                                 and isinstance(error, DataLossError)):
+                continue
+            violations.append(self._violation(
+                f"{vobs.variant} raised {type(error).__name__}: {error}",
+                variant=vobs.variant, error_type=type(error).__name__,
+                error=str(error),
+            ))
+        return violations
 
 
-def _first_trace_diff(
-    a: Sequence[Tuple[int, int, int]], b: Sequence[Tuple[int, int, int]]
-) -> str:
-    """Human description of the first differing demand read."""
-    limit = min(len(a), len(b))
-    for i in range(limit):
-        if a[i] != b[i]:
-            return (f"demand read #{i}: original {a[i]} vs "
-                    f"speculating {b[i]}")
-    return (f"demand-read count: original {len(a)} vs "
-            f"speculating {len(b)} calls")
+#: The oracle's verdict: its completion rule, then the full contract.
+ORACLE_MONITORS = (CompletionMonitor(),) + DEFAULT_MONITORS
 
 
 @dataclass
@@ -70,10 +78,20 @@ class OracleCell:
 
     app: str
     profile: Optional[str]
-    passed: bool
-    detail: str = ""
+    violations: List[Violation] = field(default_factory=list)
+    #: Registry identity keys of the cell's config, as on a fuzz cell.
+    params_digest: str = ""
+    seed: int = 0
     original: Optional[RunResult] = None
     speculating: Optional[RunResult] = None
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
+
+    @property
+    def detail(self) -> str:
+        return "; ".join(str(v) for v in self.violations)
 
     @property
     def profile_name(self) -> str:
@@ -84,10 +102,13 @@ class OracleCell:
         """Rebuild a cell from its :meth:`to_payload` form."""
         cell = cls(
             app=str(payload["app"]),
-            profile=(str(payload["profile"])
-                     if payload.get("profile") is not None else None),
-            passed=bool(payload["passed"]),
-            detail=str(payload.get("detail", "")),
+            profile=payload.get("profile"),  # type: ignore[arg-type]
+            violations=[
+                Violation.from_jsonable(v)  # type: ignore[arg-type]
+                for v in payload.get("violations", ())  # type: ignore[attr-defined]
+            ],
+            params_digest=str(payload.get("params_digest", "")),
+            seed=int(payload.get("seed", 0)),  # type: ignore[call-overload]
         )
         if "original" in payload:
             cell.original = RunResult.from_jsonable(payload["original"])  # type: ignore[arg-type]
@@ -100,25 +121,26 @@ class OracleCell:
 
         Also the shape the run registry records.
         """
-        payload: Dict[str, object] = {
-            "app": self.app,
-            "profile": self.profile,
-            "passed": self.passed,
-            "detail": self.detail,
-        }
+        payload = self._verdict()
+        payload["profile"] = self.profile
         if self.original is not None:
             payload["original"] = self.original.to_jsonable()
         if self.speculating is not None:
             payload["speculating"] = self.speculating.to_jsonable()
         return payload
 
-    def to_jsonable(self) -> Dict[str, object]:
-        entry: Dict[str, object] = {
+    def _verdict(self) -> Dict[str, object]:
+        return {
             "app": self.app,
-            "profile": self.profile_name,
-            "passed": self.passed,
-            "detail": self.detail,
+            "violations": [v.to_jsonable() for v in self.violations],
+            "params_digest": self.params_digest,
+            "seed": self.seed,
         }
+
+    def to_jsonable(self) -> Dict[str, object]:
+        """The oracle report's entry for this cell."""
+        entry = self._verdict()
+        entry.update(profile=self.profile_name, passed=self.passed)
         if self.speculating is not None:
             entry["spec_restarts"] = self.speculating.spec_restarts
             entry["spec_hints_issued"] = self.speculating.spec_hints_issued
@@ -153,133 +175,82 @@ class OracleReport:
 
 
 def run_oracle_cell(
-    app: str,
+    base: ExperimentConfig,
     profile: Optional[str] = None,
-    workload_scale: float = 1.0,
-    fault_seed: int = 7,
-    system: Optional[SystemConfig] = None,
-    analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
 ) -> OracleCell:
-    """Differential run of one app under one chaos profile.
+    """Differential run of ``base.app`` under one chaos profile.
 
-    Both runs share the system seed and (when chaotic) the fault seed; the
-    only difference is whether the binary was transformed
-    (``analysis_optimize`` additionally applies the static-analysis
-    elision plan to the transformed side).  Returns the cell; never raises
-    — the caller decides whether a failure is fatal.
+    Both variants run from ``base`` with ``profile`` as its fault
+    profile, so they differ only in whether the binary was transformed;
+    :data:`ORACLE_MONITORS` judge the pair.  Never raises — the caller
+    decides whether a failure is fatal.
 
     With ``trace_dir`` set, both variants run under a tracer and a
-    *diverging* cell dumps both event streams as JSONL to
-    ``trace_dir/<app>-<profile>-<variant>.jsonl`` — the first question
-    about any divergence is "what did the two runs actually do", and the
-    traces answer it without a re-run.  Tracing cannot mask the bug being
-    hunted: the tracer only reads the clock, so traced runs are
-    cycle-identical to untraced ones.
+    *failing* cell dumps both event streams as JSONL to
+    ``trace_dir/<app>-<profile>-<variant>.jsonl``, answering "what did
+    the two runs actually do" without a re-run.  The tracer only reads
+    the clock, so traced runs are cycle-identical to untraced ones.
     """
-    base = ExperimentConfig(
-        app=app,
-        system=system or SystemConfig(),
-        workload_scale=workload_scale,
-        fault_profile=profile,
-        fault_seed=fault_seed,
-        analysis_optimize=analysis_optimize,
+    tracers = {variant: Tracer(SimClock())
+               for variant in (Variant.ORIGINAL, Variant.SPECULATING)
+               if trace_dir is not None}
+    cfg = base.with_(fault_profile=profile)
+    obs = observe_cell(cfg, tracers)
+    cell = OracleCell(
+        app=base.app, profile=profile,
+        params_digest=params_digest(cfg), seed=cfg.system.seed,
+        violations=check_all(obs, ORACLE_MONITORS),
+        original=obs.variants["original"].result,
+        speculating=obs.variants["speculating"].result,
     )
-    tracers: Dict[Variant, Tracer] = {}
-    if trace_dir is not None:
-        # Only pass the tracer kwarg when actually tracing: tests stub
-        # run_experiment with plain (cfg)-signature fakes.
-        tracers = {
-            Variant.ORIGINAL: Tracer(SimClock()),
-            Variant.SPECULATING: Tracer(SimClock()),
-        }
-
-    def _run(variant: Variant) -> "tuple[Optional[RunResult], Optional[DataLossError]]":
-        cfg = base.with_(variant=variant)
-        try:
-            if variant in tracers:
-                return run_experiment(cfg, tracer=tracers[variant]), None
-            return run_experiment(cfg), None
-        except DataLossError as exc:
-            # Unrecoverable faults (double-fault profiles) are a legitimate,
-            # *symmetric* outcome: both variants must fail the same way.
-            return None, exc
-
-    original, original_loss = _run(Variant.ORIGINAL)
-    speculating, speculating_loss = _run(Variant.SPECULATING)
-
-    cell = OracleCell(app=app, profile=profile, passed=True,
-                      original=original, speculating=speculating)
-    expects_loss = profile is not None and PROFILES[profile].expects_data_loss
-    if original_loss is not None and speculating_loss is not None:
-        cell.detail = (f"both variants raised DataLossError "
-                       f"({'expected' if expects_loss else 'UNEXPECTED'} "
-                       f"for this profile)")
-        cell.passed = expects_loss
-    elif original_loss is not None or speculating_loss is not None:
-        side = "original" if original_loss is not None else "speculating"
-        loss = original_loss if original_loss is not None else speculating_loss
-        cell.passed = False
-        cell.detail = (f"asymmetric data loss: only the {side} variant "
-                       f"raised DataLossError ({loss})")
-    elif expects_loss:
-        cell.passed = False
-        cell.detail = ("expected both variants to raise DataLossError "
-                       "(double-fault profile), but both completed")
-    else:
-        assert original is not None and speculating is not None
-        if speculating.output != original.output:
-            cell.passed = False
-            cell.detail = _first_output_diff(original.output, speculating.output)
-        elif speculating.read_trace != original.read_trace:
-            cell.passed = False
-            cell.detail = _first_trace_diff(original.read_trace,
-                                            speculating.read_trace)
     if trace_dir is not None and not cell.passed:
         os.makedirs(trace_dir, exist_ok=True)
-        stem = f"{app}-{cell.profile_name}"
+        stem = f"{base.app}-{cell.profile_name}"
         for variant, tracer in tracers.items():
             path = os.path.join(trace_dir, f"{stem}-{variant.value}.jsonl")
             export_to_path(tracer, path, "jsonl")
-        cell.detail += f" [traces in {trace_dir}/{stem}-*.jsonl]"
     return cell
+
+
+def run_oracle_cell_payload(
+    base: ExperimentConfig,
+    profile: Optional[str],
+    trace_dir: Optional[str],
+) -> Dict[str, object]:
+    """Module-level cell runner (pickled by reference into workers)."""
+    return run_oracle_cell(base, profile, trace_dir).to_payload()
 
 
 def run_oracle(
     apps: Sequence[str],
     profiles: Sequence[Optional[str]] = ORACLE_PROFILES,
-    workload_scale: float = 1.0,
-    fault_seed: int = 7,
-    system: Optional[SystemConfig] = None,
+    base: ExperimentConfig = ExperimentConfig(),
     strict: bool = False,
-    analysis_optimize: bool = False,
     trace_dir: Optional[str] = None,
     jobs: int = 1,
     registry_path: Optional[str] = None,
 ) -> OracleReport:
     """Differential oracle over an app x chaos-profile grid.
 
-    The (app, profile) cells run through
-    :func:`~repro.harness.parallel.run_cells_parallel`: in-process for
-    ``jobs <= 1``, under the supervised pool otherwise.  Each cell is the
-    same two same-seed runs either way, so the report does not depend on
-    ``jobs``.  A cell the supervisor had to quarantine (repeated
-    crash/hang) is reported as a failed cell with its failure record — an
-    oracle run never silently drops a cell.
+    Every cell is ``base`` with its app and fault profile replaced, run
+    through :func:`~repro.harness.parallel.run_cells_parallel` (in-process
+    for ``jobs <= 1``, supervised otherwise).  A cell captures whatever
+    its variants raise, so the report does not depend on ``jobs``; a
+    cell the supervisor quarantined (repeated crash/hang) is reported
+    with a ``supervisor`` violation, never dropped.
 
-    With ``strict`` set, every cell still runs, then the first divergence
-    in grid order raises :class:`OracleMismatch`; otherwise every cell is
-    collected into the report for the caller to inspect.  ``trace_dir``
-    enables per-cell divergence trace dumps (see :func:`run_oracle_cell`).
+    With ``strict`` set, every cell still runs, then the first failing
+    cell in grid order raises :class:`OracleMismatch`; otherwise every
+    cell is collected into the report for the caller to inspect.
+    ``trace_dir`` enables per-cell failure trace dumps (see
+    :func:`run_oracle_cell`).
 
     With ``registry_path`` set, an ``oracle`` group record plus one
     ``oracle-cell`` record per cell (with its two ``oracle-variant``
     children) land in the persistent run registry.
     """
-    from repro.harness.parallel import (
-        run_cells_parallel,
-        run_oracle_cell_payload,
-    )
+    from repro.harness.parallel import quarantine_violation, run_cells_parallel
 
     registry_meta: Optional[Dict[str, object]] = None
     if registry_path is not None:
@@ -288,19 +259,15 @@ def run_oracle(
         registry_meta = record_group(registry_path, "oracle", {
             "apps": list(apps),
             "profiles": [p or "fault-free" for p in profiles],
-            "workload_scale": workload_scale,
-            "fault_seed": fault_seed,
+            "workload_scale": base.workload_scale,
+            "fault_seed": base.fault_seed,
         })
 
-    cells = []
-    keys: List[Tuple[str, str, Optional[str]]] = []
-    for app in apps:
-        for profile in profiles:
-            key = f"oracle/{app}/{profile or 'fault-free'}"
-            keys.append((key, app, profile))
-            cells.append((key, run_oracle_cell_payload,
-                          (app, profile, workload_scale, fault_seed,
-                           analysis_optimize, trace_dir, system)))
+    keys = [(f"oracle/{app}/{profile or 'fault-free'}", app, profile)
+            for app in apps for profile in profiles]
+    cells = [(key, run_oracle_cell_payload,
+              (base.with_(app=app), profile, trace_dir))
+             for key, app, profile in keys]
     outcome = run_cells_parallel(cells, jobs=jobs, identity="oracle",
                                  registry_path=registry_path,
                                  registry_meta=registry_meta)
@@ -310,17 +277,12 @@ def run_oracle(
         if key in outcome.results:
             cell = OracleCell.from_payload(outcome.results[key])
         else:
-            record = outcome.quarantined.get(key, {})
-            failures = record.get("failures", [])
-            cell = OracleCell(
-                app=app, profile=profile, passed=False,
-                detail=(f"quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
-                        f"failures (crash/hang); see checkpoint record"),
-            )
+            cell = OracleCell(app=app, profile=profile, violations=[
+                quarantine_violation(outcome.quarantined.get(key, {})),
+            ])
         report.cells.append(cell)
         if strict and not cell.passed:
             raise OracleMismatch(
                 f"{app} under {cell.profile_name}: {cell.detail}"
             )
     return report
-

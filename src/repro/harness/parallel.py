@@ -9,8 +9,9 @@ unit of parallelism" model of Simics' threading commands.
 
 This module is the policy layer above :mod:`repro.harness.supervisor`:
 
-* it turns sweep / oracle / chaos grids into picklable cell specs whose
-  runners return ``RunResult.to_jsonable()`` payloads;
+* it turns sweep and chaos grids into picklable cell specs whose
+  runners return ``RunResult.to_jsonable()`` payloads (oracle and fuzz
+  cell runners live next to their cells);
 * it integrates the crash-safe :class:`SweepCheckpoint`: the parent
   records every completed cell, workers keep per-slot partial
   checkpoints (``<path>.worker-<slot>``), and both parent- and
@@ -35,6 +36,7 @@ from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tupl
 from repro.errors import CheckpointError, QuarantinedCell
 from repro.harness.checkpoint import SweepCheckpoint, flush_on_signals
 from repro.harness.config import Variant
+from repro.harness.invariants import Violation
 from repro.harness.supervisor import (
     CellSpec,
     Supervisor,
@@ -46,8 +48,8 @@ from repro.harness.supervisor import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.harness.experiments import SweepPoint
 
-#: Payload a cell runner returns: a JSON-safe dict (RunResult or oracle
-#: cell serialization) that crosses the result pipe verbatim.
+#: Payload a cell runner returns: a JSON-safe dict (RunResult, oracle or
+#: fuzz cell serialization) that crosses the result pipe verbatim.
 Payload = Dict[str, object]
 
 
@@ -68,30 +70,6 @@ def run_sweep_cell_payload(
     result = run_sweep_cell(kind, point, app, Variant(variant_value),  # type: ignore[arg-type]
                             workload_scale)
     return result.to_jsonable()
-
-
-def run_oracle_cell_payload(
-    app: str,
-    profile: Optional[str],
-    workload_scale: float,
-    fault_seed: int,
-    analysis_optimize: bool,
-    trace_dir: Optional[str],
-    system: Optional[object] = None,
-) -> Payload:
-    """One differential-oracle cell, both variants serialized.
-
-    ``system`` is an optional :class:`~repro.params.SystemConfig` — a
-    plain frozen dataclass, so it ships to the worker by value.
-    """
-    from repro.harness.oracle import run_oracle_cell
-
-    cell = run_oracle_cell(
-        app, profile, workload_scale=workload_scale, fault_seed=fault_seed,
-        analysis_optimize=analysis_optimize, trace_dir=trace_dir,
-        system=system,  # type: ignore[arg-type]
-    )
-    return cell.to_payload()
 
 
 def sweep_parallel_cells(
@@ -386,6 +364,17 @@ def _run_cells_serial(
         if progress is not None:
             progress(key, False)
     return outcome
+
+
+def quarantine_violation(record: Dict[str, object]) -> Violation:
+    """The ``supervisor`` violation a grid reports for a quarantined cell."""
+    failures = record.get("failures", [])
+    return Violation(
+        "supervisor",
+        f"cell quarantined after {len(failures)} supervisor "  # type: ignore[arg-type]
+        f"failure(s) (crash/hang); see checkpoint record",
+        {"failures": len(failures)},  # type: ignore[arg-type]
+    )
 
 
 def require_complete(outcome: SupervisorOutcome, what: str = "sweep") -> None:

@@ -83,15 +83,6 @@ class SupervisorConfig:
     #: Consecutive worker deaths with no completed cell in between before
     #: the pool is declared unhealthy and the run aborts.
     max_pool_failures: int = 8
-    #: multiprocessing start method; None picks fork when available
-    #: (cheap, inherits test-registered cell runners) else spawn.
-    start_method: Optional[str] = None
-
-    def resolved_start_method(self) -> str:
-        if self.start_method is not None:
-            return self.start_method
-        methods = multiprocessing.get_all_start_methods()
-        return "fork" if "fork" in methods else "spawn"
 
 
 @dataclass
@@ -331,7 +322,12 @@ class Supervisor:
             stats=SupervisorStats(mode="parallel", jobs=config.jobs)
         )
 
-        self._ctx = multiprocessing.get_context(config.resolved_start_method())
+        # fork when the platform has it (cheap, inherits test-registered
+        # cell runners), else spawn.
+        self._ctx = multiprocessing.get_context(
+            "fork" if "fork" in multiprocessing.get_all_start_methods()
+            else "spawn"
+        )
         self._workers: Dict[int, _Worker] = {}
         self._next_worker_id = 0
         self._pool_failures = 0  # consecutive deaths without a completed cell

@@ -12,7 +12,7 @@ Classification is structural, mirroring how the checkpoints store the
 same payloads without a type tag:
 
 * ``{"case": ..., "violations": ...}`` — a fuzz cell;
-* ``{"passed": ..., "profile": ...}`` — a differential-oracle cell
+* ``{"profile": ..., "violations": ...}`` — a differential-oracle cell
   (with optional ``original``/``speculating`` RunResult sub-payloads);
 * ``{"app": ..., "cycles": ...}`` — a plain RunResult.
 """
@@ -65,6 +65,26 @@ def _run_record(
     )
 
 
+def _differential_record(
+    kind: str, app: object, chaos_profile: str, key: Optional[str],
+    payload: Payload, result: Dict[str, object],
+    ctx: Optional[Mapping[str, object]],
+) -> RunRecord:
+    """A fuzz or oracle cell: its identity, result and monitor verdicts."""
+    return RunRecord(
+        app=str(app or ""),
+        variant=DIFFERENTIAL,
+        kind=kind,
+        params_digest=str(payload.get("params_digest", "")),
+        seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
+        chaos_profile=chaos_profile,
+        cell_key=key,
+        result=result,
+        verdicts=list(payload.get("violations") or []),  # type: ignore[arg-type]
+        **_base_kwargs(ctx),  # type: ignore[arg-type]
+    )
+
+
 def _fuzz_records(
     key: Optional[str], payload: Payload, ctx: Optional[Mapping[str, object]]
 ) -> List[RunRecord]:
@@ -74,21 +94,9 @@ def _fuzz_records(
             f"fuzz payload for cell {key!r} has no case object"
         )
     plan = case.get("plan")
-    violations = list(payload.get("violations") or [])  # type: ignore[arg-type]
-    return [RunRecord(
-        app=str(case.get("app", "")),
-        variant=DIFFERENTIAL,
-        kind="fuzz-case",
-        params_digest=str(payload.get("params_digest", "")),
-        seed=int(payload.get("seed", 0)),  # type: ignore[arg-type]
-        chaos_profile=(
-            plan_key(plan) if isinstance(plan, dict) else "none"
-        ),
-        cell_key=key,
-        result=dict(payload),
-        verdicts=violations,
-        **_base_kwargs(ctx),  # type: ignore[arg-type]
-    )]
+    chaos = plan_key(plan) if isinstance(plan, dict) else "none"
+    return [_differential_record("fuzz-case", case.get("app"), chaos, key,
+                                 payload, dict(payload), ctx)]
 
 
 def _oracle_records(
@@ -99,33 +107,14 @@ def _oracle_records(
         for name in ("original", "speculating")
         if isinstance(payload.get(name), dict)
     }
-    # Identity keys come from a variant payload when present (they agree:
-    # params_digest excludes the variant axis), else stay empty.
-    exemplar: Mapping[str, object] = (
-        variants.get("speculating") or variants.get("original") or {}  # type: ignore[assignment]
-    )
-    passed = bool(payload.get("passed", False))
-    verdicts: List[Dict[str, object]] = []
-    if not passed:
-        verdicts.append({
-            "monitor": "differential-oracle",
-            "detail": str(payload.get("detail", "")),
-        })
     summary = {
         name: value for name, value in payload.items()
-        if name not in ("original", "speculating")
+        if name not in variants
     }
-    cell = RunRecord(
-        app=str(payload.get("app", "")),
-        variant=DIFFERENTIAL,
-        kind="oracle-cell",
-        params_digest=str(exemplar.get("params_digest", "")),
-        seed=int(exemplar.get("seed", 0)),  # type: ignore[arg-type]
-        chaos_profile=chaos_key(payload.get("profile")),  # type: ignore[arg-type]
-        cell_key=key,
-        result=summary,
-        verdicts=verdicts,
-        **_base_kwargs(ctx),  # type: ignore[arg-type]
+    cell = _differential_record(
+        "oracle-cell", payload.get("app"),
+        chaos_key(payload.get("profile")),  # type: ignore[arg-type]
+        key, payload, summary, ctx,
     )
     records = [cell]
     for name, sub in sorted(variants.items()):
@@ -148,7 +137,7 @@ def records_for_payload(
     """Map one harness cell payload onto its registry records."""
     if "case" in payload and "violations" in payload:
         return _fuzz_records(key, payload, ctx)
-    if "passed" in payload and "profile" in payload:
+    if "profile" in payload and "violations" in payload:
         return _oracle_records(key, payload, ctx)
     if "app" in payload and "cycles" in payload:
         return [_run_record(key, payload, ctx)]

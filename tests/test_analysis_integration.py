@@ -13,6 +13,7 @@ from repro.apps.postgres import ANALYSIS_EXPECTATIONS as PG_EXPECT
 from repro.cli import main
 from repro.errors import MachineFault
 from repro.fs.filesystem import FileSystem
+from repro.harness.config import ExperimentConfig
 from repro.harness.oracle import run_oracle_cell
 from repro.harness.runner import _BUILDERS
 from repro.spechint.tool import SpecHintTool
@@ -22,6 +23,8 @@ from repro.vm.machine import Machine, SpeculationFault
 from tests.test_spechint_runtime import reader_binary, corpus_fs, run_binary
 
 SCALE = 0.3
+OPTIMIZED = ExperimentConfig(app="agrep", workload_scale=SCALE,
+                             analysis_optimize=True)
 
 
 def _build(app):
@@ -137,13 +140,11 @@ class TestRuntimeWithAnalysis:
 
 class TestOracleWithAnalysis:
     def test_fault_free_cell_byte_identical(self):
-        cell = run_oracle_cell("agrep", None, workload_scale=SCALE,
-                               analysis_optimize=True)
+        cell = run_oracle_cell(OPTIMIZED)
         assert cell.passed, cell.detail
 
     def test_chaos_cell_byte_identical(self):
-        cell = run_oracle_cell("agrep", "transient-errors",
-                               workload_scale=SCALE, analysis_optimize=True)
+        cell = run_oracle_cell(OPTIMIZED, "transient-errors")
         assert cell.passed, cell.detail
 
 

@@ -456,12 +456,13 @@ class TestIntegration:
                     assert other.to_jsonable() == result.to_jsonable()
 
     def test_oracle_parallel_matches_serial(self):
+        from repro.harness.config import ExperimentConfig
         from repro.harness.oracle import run_oracle
 
-        serial = run_oracle(("agrep",), profiles=(None,),
-                            workload_scale=0.2)
-        parallel = run_oracle(("agrep",), profiles=(None,),
-                              workload_scale=0.2, jobs=2)
+        base = ExperimentConfig(workload_scale=0.2)
+        serial = run_oracle(("agrep",), profiles=(None,), base=base)
+        parallel = run_oracle(("agrep",), profiles=(None,), base=base,
+                              jobs=2)
         assert parallel.passed
         assert parallel.to_jsonable() == serial.to_jsonable()
 

@@ -387,9 +387,12 @@ class TestRecorder:
             records_for_payload("x", {"bogus": 1})
 
     def test_oracle_payload_yields_cell_and_variants(self, tmp_path):
+        violation = {"monitor": "spec-identity",
+                     "detail": "output divergence: output byte 0",
+                     "witness": {}}
         payload = {
-            "app": "agrep", "profile": "stuck-disk", "passed": False,
-            "detail": "output digests diverge",
+            "app": "agrep", "profile": "stuck-disk",
+            "violations": [violation],
             "original": run_payload(variant="original"),
             "speculating": run_payload(variant="speculating"),
         }
@@ -398,7 +401,7 @@ class TestRecorder:
             ["oracle-cell", "oracle-variant", "oracle-variant"]
         cell, first, second = records
         assert cell.chaos_profile == "stuck-disk"
-        assert cell.verdicts[0]["monitor"] == "differential-oracle"
+        assert cell.verdicts == [violation]
         assert "original" not in cell.result  # sub-payloads live in children
         assert first.parent_id == cell.run_id
         assert second.parent_id == cell.run_id

@@ -409,34 +409,37 @@ class TestRunResultSerialization:
 
 class TestOracleTraceDump:
     def test_divergence_dumps_both_traces(self, tmp_path, monkeypatch):
-        from repro.harness import oracle as oracle_mod
+        from repro.harness import fuzz as fuzz_mod
+        from repro.harness.oracle import run_oracle_cell
 
-        real = oracle_mod.run_experiment
+        real = fuzz_mod.observe_variant
 
         def tamper(cfg, tracer=NULL_TRACER):
-            result = real(cfg, tracer=tracer)
+            vobs = real(cfg, tracer)
             if cfg.variant is Variant.SPECULATING:
-                result.output = result.output + b"X"  # forced divergence
-            return result
+                vobs.result.output += b"X"  # forced divergence
+            return vobs
 
-        monkeypatch.setattr(oracle_mod, "run_experiment", tamper)
-        cell = oracle_mod.run_oracle_cell(
-            "agrep", None, workload_scale=SCALE, trace_dir=str(tmp_path)
+        monkeypatch.setattr(fuzz_mod, "observe_variant", tamper)
+        cell = run_oracle_cell(
+            ExperimentConfig(app="agrep", workload_scale=SCALE),
+            trace_dir=str(tmp_path),
         )
-        assert not cell.passed
+        assert [v.monitor for v in cell.violations] == ["spec-identity"]
         dumps = sorted(p.name for p in tmp_path.iterdir())
         assert dumps == ["agrep-fault-free-original.jsonl",
                         "agrep-fault-free-speculating.jsonl"]
         for path in tmp_path.iterdir():
             lines = path.read_text().splitlines()
             assert lines and all(json.loads(line) for line in lines)
-        assert "traces in" in cell.detail
 
     def test_passing_cell_dumps_nothing(self, tmp_path):
         from repro.harness.oracle import run_oracle_cell
 
-        cell = run_oracle_cell("agrep", None, workload_scale=SCALE,
-                               trace_dir=str(tmp_path / "dumps"))
+        cell = run_oracle_cell(
+            ExperimentConfig(app="agrep", workload_scale=SCALE),
+            trace_dir=str(tmp_path / "dumps"),
+        )
         assert cell.passed
         assert not (tmp_path / "dumps").exists()
 
